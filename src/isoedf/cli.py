@@ -2,7 +2,7 @@
 
 Output convention: a `#`-prefixed JSON header line with run metadata,
 then plain CSV rows, so one file feeds both scripts and plot tools.
-Exit codes: 0 success, 2 usage error, 1 numeric failure.
+Exit codes: 0 success, 2 usage error or invalid input, 1 numeric failure.
 """
 
 from __future__ import annotations
@@ -43,13 +43,22 @@ def _positive(parser, name: str, value, integer=False, minimum=None):
 
 
 def _resolve_c_and_l(args, parser) -> tuple[float, int]:
-    """Aspect ratio and snapshot count from --c / --snapshots (either suffices)."""
+    """Aspect ratio and snapshot count from --c / --snapshots (either suffices).
+
+    --c implies the snapshot count round(n / c); given together, --snapshots
+    must equal it.
+    """
     if args.c is None and args.snapshots is None:
         parser.error("one of --c or --snapshots is required")
-    if args.c is not None:
-        snapshots = args.snapshots if args.snapshots is not None else round(args.n / args.c)
-        return args.c, int(snapshots)
-    return args.n / args.snapshots, args.snapshots
+    if args.c is None:
+        return args.n / args.snapshots, args.snapshots
+    snapshots = round(args.n / args.c)
+    if args.snapshots is not None and args.snapshots != snapshots:
+        parser.error(
+            f"--c {args.c} implies --snapshots {snapshots} at --n {args.n}, "
+            f"not {args.snapshots}"
+        )
+    return args.c, snapshots
 
 
 def _cmd_eigvals(args, parser):
@@ -135,13 +144,15 @@ def _cmd_simulate(args, parser):
 
 
 def _cmd_compare(args, parser):
-    c, snapshots = _resolve_c_and_l(args, parser)
+    _, snapshots = _resolve_c_and_l(args, parser)
     cfg = ArrayNoiseConfig(n=args.n, zeta=args.zeta)
+    mc_cfg = McConfig(
+        cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins
+    )
+    c = mc_cfg.c  # model the aspect ratio n / L that is simulated
     pred = predict_edf(cfg, c, mode=args.mode, points=args.grid_points, eta=args.eta)
     start = time.perf_counter()
-    emp = run_mc(
-        McConfig(cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins)
-    )
+    emp = run_mc(mc_cfg)
     mc_ms = (time.perf_counter() - start) * 1e3
     rep = compare(
         pred.density,
@@ -277,6 +288,9 @@ def main(argv=None) -> int:
     except (SolverError, NumericError) as e:
         print(f"isoedf: numeric failure: {e}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        print(f"isoedf: invalid input: {e}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -97,7 +97,12 @@ class EmpiricalSpectrum:
 
 
 def _worker_count(trials: int) -> int:
-    raw = os.environ.get(_THREADS_ENV, "0")
+    """Threads for run_mc: ISO_EDF_THREADS (<= 0 means one per CPU), default 1.
+
+    One thread is the default: at N = 51 on two CPUs, two threads ran
+    2 x 500 trials in 1.47 s against 1.29 s for one.
+    """
+    raw = os.environ.get(_THREADS_ENV, "1")
     try:
         requested = int(raw)
     except ValueError as e:

@@ -7,9 +7,17 @@ spectrum solves the self-consistency equation
     m = sum_i w_i / (t_i (1 - c - c z m) - z),
 
 the scalar master equation of the convolution.  Cleared of denominators
-it is a degree-(k+1) polynomial in m, solved here numerically per grid
-point instead of symbolically once.  The boundary density is recovered
-from Im m(x + i eta) / pi on a grid.
+it is a degree-(k+1) polynomial in m.  Instead of enumerating its roots
+at every point, the whole grid is solved at once in the regularized
+coordinate mc = m + (1 - 1/c)/z, where the equation reads
+
+    G(mc) = z mc - (1 - 1/c) + sum_i w_i / (1 + c t_i mc) = 0
+
+and has exactly one root with Im mc > 0.  Newton runs on all grid
+points together while Im z steps down from the far field to eta; the
+polynomial's companion-matrix roots are the fallback at any point that
+fails the acceptance test.  The boundary density is recovered from the
+imaginary part on the grid.
 """
 
 from __future__ import annotations
@@ -25,10 +33,12 @@ from .linalg import NumericError, poly_roots
 from .spike import AtomicMeasure, classify, full_measure, reduce
 from .specfun import zero_atom_mass
 
-_FP_MAX_ITER = 2000
-_FP_DAMPING = 0.5
-_FP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
+_NEWTON_TOL = 1e-14
+_MAX_HALVINGS = 60
+_ETA_RATIO = 0.3  # Im z shrinks by this factor per continuation level
+_BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
 _NEGATIVE_DENSITY_TOL = 1e-8
 
 
@@ -101,146 +111,119 @@ def build_polynomial(p: FmcProblem) -> StieltjesPolynomial:
     return StieltjesPolynomial(problem=p, degree=len(p.measure.atoms) + 1)
 
 
-def _map_value(atoms, c, z, m):
-    """Right-hand side of the self-consistency equation."""
-    u = 1 - c - c * z * m
-    total = 0j
-    for t, w in atoms:
-        total += w / (t * u - z)
-    return total
+def _newton(ct, w, z0, z, mc):
+    """Newton on G(mc) = z mc - z0 + sum_i w_i / (1 + c t_i mc), one root per z.
 
-
-def _map_derivative(atoms, c, z, m):
-    u = 1 - c - c * z * m
-    total = 0j
-    for t, w in atoms:
-        d = t * u - z
-        total += w * t * c * z / (d * d)
-    return total
-
-
-def _residual(atoms, c, z, m) -> float:
-    return abs(m - _map_value(atoms, c, z, m)) / max(1.0, abs(m))
-
-
-def _acceptable(atoms, c, z, m) -> bool:
-    return m.imag > 0 and _residual(atoms, c, z, m) <= _RESIDUAL_TOL
-
-
-def _newton_m(atoms, c, z, m, itmax=80):
-    for _ in range(itmax):
-        g = m - _map_value(atoms, c, z, m)
-        dg = 1 - _map_derivative(atoms, c, z, m)
-        if dg == 0:
-            return m, False
-        step = g / dg
-        m = m - step
-        if abs(step) <= 1e-14 * max(1.0, abs(m)):
-            return m, True
-    return m, False
-
-
-def _newton_regularized(atoms, c, z, mc, itmax=100):
-    """Newton on the pole-subtracted equation, stable for c > 1 as z -> 0.
-
-    With m = mc - z0/z and z0 = 1 - 1/c the equation becomes
-    G(mc) = z mc - z0 + sum w / (1 + c t mc) = 0, free of the 1/z blowup.
+    ct = c t and w are (atoms, 1) columns; z and mc are 1-D.  A step that
+    would take Im mc from positive to nonpositive is halved until it does
+    not, so an iterate never leaves the half plane that holds the root.
     """
-    z0 = 1 - 1 / c
-    for _ in range(itmax):
-        g = z * mc - z0
-        dg = z + 0j
-        for t, w in atoms:
-            d = 1 + c * t * mc
-            g += w / d
-            dg -= w * c * t / (d * d)
-        if dg == 0:
-            return mc, False
-        step = g / dg
-        mc = mc - step
-        if abs(step) <= 1e-14 * max(1.0, abs(mc)):
-            return mc, True
-    return mc, False
-
-
-def _solve(atoms, c, z, mc0, zero_mass):
-    """One admissible root, warm started and returned as mc = m + zero_mass/z.
-
-    The continuation state is kept in the regularized coordinate because
-    for c > 1 the raw transform carries a -zero_mass/z pole whose jump
-    between neighbouring z values would wreck warm starts.
-    """
-    pole = zero_mass / z if zero_mass > 0 else 0j
-    m0 = mc0 - pole
-    # damped fixed point with stall detection
-    m = m0
-    last_delta = None
-    for it in range(_FP_MAX_ITER):
-        m_new = m + _FP_DAMPING * (_map_value(atoms, c, z, m) - m)
-        delta = abs(m_new - m)
-        m = m_new
-        if delta <= _FP_TOL * max(1.0, abs(m)):
+    mc = np.array(mc, dtype=complex)
+    todo = np.arange(len(mc))
+    for _ in range(_NEWTON_MAX_ITER):
+        zi, mi = z[todo], mc[todo]
+        inv = 1 / (1 + ct * mi)
+        w_inv = w * inv
+        step = (zi * mi - z0 + w_inv.sum(axis=0)) / (zi - (ct * w_inv * inv).sum(axis=0))
+        new = mi - step
+        for _ in range(_MAX_HALVINGS):
+            low = (new.imag <= 0) & (mi.imag > 0)
+            if not low.any():
+                break
+            step[low] *= 0.5
+            new[low] = mi[low] - step[low]
+        mc[todo] = new
+        todo = todo[np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(new))]
+        if not len(todo):
             break
-        if it % 100 == 99:
-            if last_delta is not None and delta > 0.7 * last_delta:
-                break  # stalled or diverging
-            last_delta = delta
-    if _acceptable(atoms, c, z, m):
-        return m + pole
-    # Newton from the warm start (handles edge pinches the iteration circles)
-    m, converged = _newton_m(atoms, c, z, m0)
-    if converged and _acceptable(atoms, c, z, m):
-        return m + pole
-    if zero_mass > 0:
-        mc, converged = _newton_regularized(atoms, c, z, mc0)
-        if converged:
-            m = mc - pole
-            if _acceptable(atoms, c, z, m):
-                return mc
-    # companion-matrix enumeration, then pick the admissible root nearest
-    # the warm start (branch continuity)
-    coeffs = _equation_coefficients(atoms, c, z)
-    best = None
-    best_res = math.inf
+    return mc
+
+
+def _admissible(ct, w, z0, z, mc):
+    """Im m > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10, per point.
+
+    With m = mc - z0/z the raw residual m - map(m) equals G(mc)/z.
+    """
+    m = mc - z0 / z
+    g = z * mc - z0 + (w / (1 + ct * mc)).sum(axis=0)
+    residual = np.abs(g / z) / np.maximum(1.0, np.abs(m))
+    return (m.imag > 0) & (residual <= _RESIDUAL_TOL), residual
+
+
+def _continue(ct, w, z0, x, eta, top):
+    """Roots at x + i eta, reached by Newton at Im z = 0.3 top, 0.09 top, ..., eta.
+
+    The first level starts from the far-field value mc = -(1 - z0)/z at
+    Im z = top, i.e. m = -1/z; every later level starts from the roots of
+    the level above.
+    """
+    h = max(top, eta)
+    mc = -(1 - z0) / (x + 1j * h)
+    while True:
+        h = max(eta, _ETA_RATIO * h)
+        mc = _newton(ct, w, z0, x + 1j * h, mc)
+        if h == eta:
+            return mc
+
+
+def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
+    """Admissible root nearest `near` among the polished companion-matrix roots."""
+    coeffs = _equation_coefficients(p.measure.atoms, p.c, z)
     try:
         roots = poly_roots(coeffs / np.max(np.abs(coeffs)))
     except NumericError:
-        roots = []
-    for r in roots:
-        mr, converged = _newton_m(atoms, c, z, complex(r), 60)
-        if not converged:
-            continue
-        res = _residual(atoms, c, z, mr)
-        best_res = min(best_res, res)
-        if mr.imag > 0 and res <= _RESIDUAL_TOL:
-            if best is None or abs(mr - m0) < abs(best - m0):
-                best = mr
-    if best is None:
-        raise SolverError(z, best_res)
-    return best + pole
+        roots = np.empty(0, dtype=complex)
+    zs = np.full(len(roots), z)
+    mc = _newton(ct, w, z0, zs, roots + z0 / z)
+    ok, residual = _admissible(ct, w, z0, zs, mc)
+    if not ok.any():
+        raise SolverError(z, float(np.fmin.reduce(residual, initial=math.inf)))
+    admissible = mc[ok]
+    return admissible[np.argmin(np.abs(admissible - near))]
 
 
-def _normalized_atoms(measure: AtomicMeasure):
-    return tuple((float(t), float(w)) for t, w in measure.atoms)
+def _solve(p: FmcProblem, x: np.ndarray, eta: float, warm_start=None) -> np.ndarray:
+    """Roots mc = m + (1 - 1/c)/z at z = x + i eta for every x.
+
+    Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
+    eta continuation, or by Newton from `warm_start` (a value of m) when
+    one is given.  A point whose root fails the acceptance test goes to
+    companion-matrix enumeration.
+    """
+    ct = p.c * p.measure.locations[:, None]
+    w = p.measure.weights[:, None]
+    z0 = 1 - 1 / p.c
+    top = max(10.0, 2 * float(x[-1]))
+    size = max(1, _BLOCK_ELEMENTS // len(p.measure.atoms))
+    out = np.empty(len(x), dtype=complex)
+    for lo in range(0, len(x), size):
+        xb = x[lo : lo + size]
+        z = xb + 1j * eta
+        if warm_start is None:
+            mc = _continue(ct, w, z0, xb, eta, top)
+        else:
+            mc = _newton(ct, w, z0, z, warm_start + z0 / z)
+        ok, _ = _admissible(ct, w, z0, z, mc)
+        for j in np.flatnonzero(~ok):
+            mc[j] = _companion(p, ct, w, z0, complex(z[j]), mc[j])
+        out[lo : lo + size] = mc
+    return out
 
 
 def stieltjes_at(p: FmcProblem, z: complex, warm_start: complex | None = None) -> complex:
     """Stieltjes transform of the limiting spectrum at z (upper half plane).
 
-    Solves the self-consistency equation by damped fixed point from the
-    warm start (default -1/z), escalating to Newton and companion-matrix
-    enumeration; the accepted root must have Im m > 0 and satisfy the
-    defining equation to 1e-10 relative.
+    Runs the grid solver on the single point Re z: Newton follows the
+    root from the far field down to Im z, or, when `warm_start` is given,
+    starts from it at z itself.  The accepted root must have Im m > 0
+    and satisfy the defining equation to 1e-10 relative; otherwise the
+    companion-matrix roots are tried.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError(f"z must lie in the upper half plane, got {z}")
-    atoms = _normalized_atoms(p.measure)
-    zero_mass = p.zero_mass
-    m0 = warm_start if warm_start is not None else -1 / z
-    mc0 = m0 + (zero_mass / z if zero_mass > 0 else 0j)
-    mc = _solve(atoms, p.c, z, mc0, zero_mass)
-    return mc - (zero_mass / z if zero_mass > 0 else 0j)
+    mc = _solve(p, np.array([z.real]), z.imag, warm_start)[0]
+    return complex(mc - (1 - 1 / p.c) / z)
 
 
 @dataclass(frozen=True)
@@ -274,12 +257,12 @@ class SpectralDensity:
 
 
 def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> SpectralDensity:
-    """Boundary density Im m(x + i eta)/pi along an ascending grid.
+    """Boundary density of the continuous part, Im m(x + i eta)/pi, along a grid.
 
-    The first point is reached by marching the far-field asymptote down
-    in imaginary part; subsequent points warm start from their left
-    neighbour.  For c > 1 the zero atom's pole is subtracted so the
-    samples describe only the continuous part.
+    All grid points are solved together by Newton continuation in Im z,
+    from max(10, 2 x_max) down to eta by factors of 0.3.  For c > 1 the
+    zero atom's pole is subtracted (the samples are Im mc/pi), so they
+    describe only the continuous part.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -288,25 +271,11 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
         raise ValueError(f"eta must be > 0, got {eta}")
     if p.c >= 1 and grid[0] <= 0:
         raise ValueError("grid points must be > 0 for c >= 1 (zero atom is separate)")
-    atoms = _normalized_atoms(p.measure)
-    zero_mass = p.zero_mass
-    values = np.empty(len(grid))
-
-    # far-field march down to eta at the first grid point
-    x0 = float(grid[0])
-    h = max(10.0, 2 * float(grid[-1]))
-    mc = -(1 - zero_mass) / complex(x0, h)
-    while h > eta:
-        h = max(eta, 0.3 * h)
-        mc = _solve(atoms, p.c, complex(x0, h), mc, zero_mass)
-    values[0] = mc.imag / math.pi
-    for j in range(1, len(grid)):
-        z = complex(grid[j], eta)
-        try:
-            mc = _solve(atoms, p.c, z, mc, zero_mass)
-        except SolverError as e:
-            raise SolverError(z, e.residual) from e
-        values[j] = mc.imag / math.pi
+    mc = _solve(p, grid, eta)
+    if p.c <= 1:
+        # no zero atom: the density is Im m, and Im(mc - m) is not negligible
+        mc = mc - (1 - 1 / p.c) / (grid + 1j * eta)
+    values = mc.imag / math.pi
     worst = values.min()
     if worst < -_NEGATIVE_DENSITY_TOL:
         raise NumericError(
@@ -314,7 +283,7 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
             "negative for round-off; likely branch mis-selection"
         )
     np.clip(values, 0.0, None, out=values)
-    return SpectralDensity(grid=grid, values=values, zero_mass=zero_mass, eta=eta)
+    return SpectralDensity(grid=grid, values=values, zero_mass=p.zero_mass, eta=eta)
 
 
 def default_grid(p: FmcProblem, points: int) -> np.ndarray:

@@ -268,3 +268,67 @@ class TestPredictEdf:
     def test_rejects_unknown_mode(self, cfg51):
         with pytest.raises(ValueError):
             predict_edf(cfg51, 0.5, mode="other")
+
+
+class TestGridSolverAgainstPolynomial:
+    """The grid solver against the paper's route: roots of the cleared polynomial."""
+
+    @pytest.mark.parametrize("c", [0.25, 1.0, 1.5])
+    def test_density_equals_admissible_polynomial_root(self, spectrum51, c):
+        from isoedf import classify, poly_roots, reduce
+
+        p = FmcProblem(measure=reduce(classify(spectrum51, c), 51), c=c)
+        eta = 1e-6
+        d = density_curve(p, default_grid(p, 1500), eta)
+        inside = np.flatnonzero(d.values > 1e-2 * d.values.max())
+        picked = inside[np.linspace(0, len(inside) - 1, 20).astype(int)]
+        poly = build_polynomial(p)
+        z0 = 1 - 1 / c
+        for j in picked:
+            z = complex(d.grid[j], eta)
+            roots = poly_roots(poly.coefficients(z))
+            # the one root whose companion transform (m + z0/z) is Herglotz
+            (m,) = [r for r in roots if (r + z0 / z).imag > 0]
+            expected = (m + p.zero_mass / z).imag / math.pi
+            assert d.values[j] == pytest.approx(expected, rel=1e-8)
+
+
+class TestCompanionFallback:
+    def test_missed_continuation_is_recovered_by_companion_roots(self, monkeypatch):
+        import isoedf.rmt as rmt
+
+        p = unit_atom(0.5)
+        grid = default_grid(p, 300)
+        reference = density_curve(p, grid).values
+        calls = []
+        real_roots, real_continue = rmt.poly_roots, rmt._continue
+
+        def counting_roots(coeffs):
+            calls.append(coeffs)
+            return real_roots(coeffs)
+
+        def missing_continue(*args):
+            mc = real_continue(*args)
+            mc[::7] += 0.3  # off the root, still in the upper half plane
+            return mc
+
+        monkeypatch.setattr(rmt, "poly_roots", counting_roots)
+        monkeypatch.setattr(rmt, "_continue", missing_continue)
+        d = density_curve(p, grid)
+        assert len(calls) == len(grid[::7])
+        params = MpParams(c=0.5)
+        a, b = params.support
+        away = (np.abs(grid - a) >= 0.05) & (np.abs(grid - b) >= 0.05)
+        mp = np.array([mp_density(x, params) for x in grid])
+        assert np.max(np.abs(d.values - mp)[away]) <= 1e-4
+        np.testing.assert_allclose(d.values, reference, rtol=0, atol=1e-12)
+
+    def test_no_admissible_root_raises_solver_error(self, monkeypatch):
+        import isoedf.rmt as rmt
+        from isoedf import SolverError
+
+        real_continue = rmt._continue
+        monkeypatch.setattr(rmt, "_continue", lambda *args: real_continue(*args) + 0.3)
+        monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
+        with pytest.raises(SolverError):
+            density_curve(unit_atom(0.5), default_grid(unit_atom(0.5), 32))
