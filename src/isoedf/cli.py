@@ -2,13 +2,15 @@
 
 Output convention: a `#`-prefixed JSON header line with run metadata,
 then plain CSV rows, so one file feeds both scripts and plot tools.
-Exit codes: 0 success, 2 usage error or invalid input, 1 numeric failure.
+Exit codes: 0 success (also when the reader closes the output pipe early),
+2 usage error or invalid input, 1 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -285,6 +287,13 @@ def main(argv=None) -> int:
     _validate(args, parser)
     try:
         args.func(args, parser)
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the interpreter's final flush of the buffered rest cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (SolverError, NumericError) as e:
         print(f"isoedf: numeric failure: {e}", file=sys.stderr)
         return 1

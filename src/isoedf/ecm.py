@@ -76,8 +76,25 @@ def build_ecm(cfg: ArrayNoiseConfig) -> np.ndarray:
 
 
 def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
-    """Descending spectrum of the ensemble covariance."""
-    return EnsembleSpectrum(values=sym_eigenvalues(build_ecm(cfg)), n=cfg.n)
+    """Descending spectrum of the ensemble covariance, from two half-size solves.
+
+    A symmetric Toeplitz matrix T is centrosymmetric, so its even and odd
+    eigenvectors decouple (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).  With m = n // 2, A = T[:m, :m] and JB = T[n-m:, :m] with its
+    rows reversed, the spectrum is eig(A + JB) together with eig(A - JB);
+    for odd n the even block is bordered by sqrt(2) T[:m, m] and T[m, m].
+    """
+    t = build_ecm(cfg)
+    n = cfg.n
+    m = n // 2
+    a = t[:m, :m]
+    jb = t[n - m :, :m][::-1]
+    even = a + jb
+    if n % 2:
+        border = math.sqrt(2) * t[:m, m : m + 1]
+        even = np.block([[even, border], [border.T, t[m : m + 1, m : m + 1]]])
+    values = np.concatenate([sym_eigenvalues(even), sym_eigenvalues(a - jb)])
+    return EnsembleSpectrum(values=np.sort(values)[::-1], n=n)
 
 
 def szego_density(omega: float, cfg: ArrayNoiseConfig) -> float:

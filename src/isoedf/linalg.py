@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_POLISH_MAX_STEP = 1e-6  # relative Newton step beyond which a root is left as is
+
 
 class NumericError(RuntimeError):
     """An iterative kernel failed to converge."""
@@ -83,6 +85,10 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     Companion-matrix eigenvalues; the QR path balances the companion
     matrix first, which matters because the convolution polynomials feed
     in coefficients spanning many orders of magnitude near support edges.
+    Each eigenvalue is then refined by Newton steps on the polynomial:
+    near clustered roots the eigenvalues alone can be off by 1e-8
+    relative, enough to give a root just below the real axis a positive
+    imaginary part.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     n = len(coeffs)
@@ -99,6 +105,22 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     comp[0, :] = -monic[d - 1 :: -1]
     comp[1:, :-1] = np.eye(d - 1)
     try:
-        return np.linalg.eigvals(comp)
+        roots = np.linalg.eigvals(comp)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"companion QR failed for degree {d}: {e}") from e
+    return _polish_roots(monic[::-1], roots)
+
+
+def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the polynomial with descending coefficients `desc`.
+
+    A step longer than 1e-6 relative (or not finite) is dropped: it would
+    move the root rather than refine it, as at a near-multiple root.
+    """
+    deriv = np.polyder(desc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            step = np.polyval(desc, roots) / np.polyval(deriv, roots)
+            small = np.abs(step) <= _POLISH_MAX_STEP * np.maximum(1.0, np.abs(roots))
+            roots = np.where(small, roots - step, roots)
+    return roots

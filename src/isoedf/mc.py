@@ -54,14 +54,19 @@ def gaussian_snapshots(n: int, l: int, stream: np.random.Generator) -> np.ndarra
 
     Box-Muller in polar form: |g|^2 is unit-mean exponential and the
     phase is uniform, so real and imaginary parts carry variance 1/2
-    each.
+    each.  radius cos and radius sin are written into the real and
+    imaginary parts of one array, which costs less than a complex exp.
     """
     if n < 1 or l < 1:
         raise ValueError("matrix dimensions must be positive")
     u1 = stream.random((n, l))
     u2 = stream.random((n, l))
     radius = np.sqrt(-np.log1p(-u1))  # 1 - u1 lies in (0, 1]
-    return radius * np.exp(2j * np.pi * u2)
+    phase = 2 * np.pi * u2
+    g = np.empty((n, l), dtype=complex)
+    np.multiply(radius, np.cos(phase), out=g.real)
+    np.multiply(radius, np.sin(phase), out=g.imag)
+    return g
 
 
 def scm_eigenvalues(sigma_half: np.ndarray, l: int, stream: np.random.Generator) -> np.ndarray:

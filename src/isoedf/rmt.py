@@ -16,8 +16,10 @@ coordinate mc = m + (1 - 1/c)/z, where the equation reads
 and has exactly one root with Im mc > 0.  Newton runs on all grid
 points together while Im z steps down from the far field to eta; the
 polynomial's companion-matrix roots are the fallback at any point that
-fails the acceptance test.  The boundary density is recovered from the
-imaginary part on the grid.
+fails the acceptance test.  Im z shrinks tenfold per level; a level
+above eta only supplies the start of the next, so it is solved to a
+relative step of 1e-4, and only the level at eta to 1e-14.  The boundary
+density is recovered from the imaginary part on the grid.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ _RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-14
 _MAX_HALVINGS = 60
-_ETA_RATIO = 0.3  # Im z shrinks by this factor per continuation level
+_ETA_RATIO = 0.1  # Im z shrinks by this factor per continuation level
+_LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
 _NEGATIVE_DENSITY_TOL = 1e-8
 
@@ -111,20 +114,28 @@ def build_polynomial(p: FmcProblem) -> StieltjesPolynomial:
     return StieltjesPolynomial(problem=p, degree=len(p.measure.atoms) + 1)
 
 
-def _newton(ct, w, z0, z, mc):
+def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL):
     """Newton on G(mc) = z mc - z0 + sum_i w_i / (1 + c t_i mc), one root per z.
 
-    ct = c t and w are (atoms, 1) columns; z and mc are 1-D.  A step that
-    would take Im mc from positive to nonpositive is halved until it does
-    not, so an iterate never leaves the half plane that holds the root.
+    ct = c t and w are (atoms, 1) columns; z and mc are 1-D.  Each step
+    builds one atoms x points array t = 1 + c t_i mc, inverts it in place
+    and takes both atom sums as matrix products: sum_i w_i / t_i, then,
+    after squaring, sum_i c t_i w_i / t_i^2 for G'.  A step that would
+    take Im mc from positive to nonpositive is halved until it does not,
+    so an iterate never leaves the half plane that holds the root.  A
+    point stops once its step is at most tol relative to max(1, |mc|).
     """
     mc = np.array(mc, dtype=complex)
+    w_row, ctw_row = w.T, (ct * w).T
     todo = np.arange(len(mc))
     for _ in range(_NEWTON_MAX_ITER):
         zi, mi = z[todo], mc[todo]
-        inv = 1 / (1 + ct * mi)
-        w_inv = w * inv
-        step = (zi * mi - z0 + w_inv.sum(axis=0)) / (zi - (ct * w_inv * inv).sum(axis=0))
+        t = ct * mi
+        t += 1
+        np.reciprocal(t, out=t)
+        g = zi * mi - z0 + _row_times(w_row, t)
+        t *= t
+        step = g / (zi - _row_times(ctw_row, t))
         new = mi - step
         for _ in range(_MAX_HALVINGS):
             low = (new.imag <= 0) & (mi.imag > 0)
@@ -133,37 +144,49 @@ def _newton(ct, w, z0, z, mc):
             step[low] *= 0.5
             new[low] = mi[low] - step[low]
         mc[todo] = new
-        todo = todo[np.abs(step) > _NEWTON_TOL * np.maximum(1.0, np.abs(new))]
+        todo = todo[np.abs(step) > tol * np.maximum(1.0, np.abs(new))]
         if not len(todo):
             break
     return mc
 
 
-def _admissible(ct, w, z0, z, mc):
-    """Im m > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10, per point.
+def _row_times(row, t):
+    """row @ t for a real (1, atoms) row and a complex (atoms, points) array.
 
-    With m = mc - z0/z the raw residual m - map(m) equals G(mc)/z.
+    Done as one real product on the interleaved (re, im) view of t.
+    """
+    return (row @ t.view(float)).view(complex)[0]
+
+
+def _admissible(ct, w, z0, z, mc):
+    """Im m > 0, Im mc > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10.
+
+    With m = mc - z0/z the raw residual m - map(m) equals G(mc)/z.  G has
+    one root with Im mc > 0, so requiring it makes the accepted root
+    unique; for c > 1, Im m > 0 alone also admits a root with Im mc < 0.
     """
     m = mc - z0 / z
     g = z * mc - z0 + (w / (1 + ct * mc)).sum(axis=0)
     residual = np.abs(g / z) / np.maximum(1.0, np.abs(m))
-    return (m.imag > 0) & (residual <= _RESIDUAL_TOL), residual
+    return (m.imag > 0) & (mc.imag > 0) & (residual <= _RESIDUAL_TOL), residual
 
 
 def _continue(ct, w, z0, x, eta, top):
-    """Roots at x + i eta, reached by Newton at Im z = 0.3 top, 0.09 top, ..., eta.
+    """Roots at x + i eta, reached by Newton at Im z = 0.1 top, 0.01 top, ..., eta.
 
     The first level starts from the far-field value mc = -(1 - z0)/z at
     Im z = top, i.e. m = -1/z; every later level starts from the roots of
-    the level above.
+    the level above.  The levels above eta only have to land the next
+    start near its root, so they stop at a relative step of _LEVEL_TOL;
+    the level at eta runs to _NEWTON_TOL.
     """
     h = max(top, eta)
     mc = -(1 - z0) / (x + 1j * h)
     while True:
         h = max(eta, _ETA_RATIO * h)
-        mc = _newton(ct, w, z0, x + 1j * h, mc)
         if h == eta:
-            return mc
+            return _newton(ct, w, z0, x + 1j * h, mc)
+        mc = _newton(ct, w, z0, x + 1j * h, mc, _LEVEL_TOL)
 
 
 def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
@@ -216,8 +239,8 @@ def stieltjes_at(p: FmcProblem, z: complex, warm_start: complex | None = None) -
     Runs the grid solver on the single point Re z: Newton follows the
     root from the far field down to Im z, or, when `warm_start` is given,
     starts from it at z itself.  The accepted root must have Im m > 0
-    and satisfy the defining equation to 1e-10 relative; otherwise the
-    companion-matrix roots are tried.
+    and Im mc > 0 and satisfy the defining equation to 1e-10 relative;
+    otherwise the companion-matrix roots are tried.
     """
     z = complex(z)
     if not z.imag > 0:
@@ -260,7 +283,7 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     """Boundary density of the continuous part, Im m(x + i eta)/pi, along a grid.
 
     All grid points are solved together by Newton continuation in Im z,
-    from max(10, 2 x_max) down to eta by factors of 0.3.  For c > 1 the
+    from max(10, 2 x_max) down to eta by factors of 0.1.  For c > 1 the
     zero atom's pole is subtracted (the samples are Im mc/pi), so they
     describe only the continuous part.
     """

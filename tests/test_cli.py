@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isoedf import ArrayNoiseConfig, predict_edf
 from isoedf.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -94,3 +100,22 @@ def test_csv_columns(capsys, argv, columns, width):
     _, got, rows = parse_csv(out)
     assert got == columns
     assert rows.shape[1] == width and len(rows) > 0
+
+
+def test_closed_pipe_exits_quietly():
+    # 20000 rows (~0.6 MB) cannot all sit in the pipe buffer, so the writer
+    # is still writing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "4", "--c", "100",
+         "--grid-points", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert lines[1] == b"x,f\n"
+    assert b"Traceback" not in err
+    assert proc.returncode == 0

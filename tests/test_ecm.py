@@ -70,6 +70,15 @@ class TestEnsembleSpectrum:
         vals = sym_eigenvalues(build_ecm(ArrayNoiseConfig(n=n, zeta=zeta)))
         assert vals[-1] >= -1e-10 * vals[0]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 51, 256, 257])
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0])
+    def test_split_matches_dense_eigensolve(self, n, zeta):
+        # odd n borders the even half-size block with the middle row
+        cfg = ArrayNoiseConfig(n=n, zeta=zeta)
+        dense = sym_eigenvalues(build_ecm(cfg))
+        got = ensemble_spectrum(cfg).values
+        np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * dense[0])
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             EnsembleSpectrum(values=np.array([1.0, 2.0]), n=2)

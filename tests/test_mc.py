@@ -39,6 +39,15 @@ class TestGaussianSnapshots:
         b = gaussian_snapshots(16, 8, make_stream(5, 1))
         assert not np.array_equal(a, b)
 
+    def test_matches_the_complex_exp_form(self):
+        # radius * exp(2 pi i u2), the form the cos/sin kernel replaces
+        for trial in range(4):
+            stream = make_stream(17, trial)
+            u1, u2 = stream.random((51, 204)), stream.random((51, 204))
+            expected = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
+            got = gaussian_snapshots(51, 204, make_stream(17, trial))
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             gaussian_snapshots(0, 4, make_stream(0, 0))

@@ -332,3 +332,62 @@ class TestCompanionFallback:
         monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
         with pytest.raises(SolverError):
             density_curve(unit_atom(0.5), default_grid(unit_atom(0.5), 32))
+
+
+class TestBranchSelection:
+    def test_warm_start_near_the_wrong_branch_is_rejected(self):
+        # for c > 1, G(mc) also has a root with Im m > 0 but Im mc < 0
+        p = FmcProblem(
+            measure=measure_from(
+                (1.0546, 1.2275, 1.8005, 1.9233, 1.9447),
+                (0.2577, 0.2084, 0.0982, 0.2854, 0.1504),
+            ),
+            c=1.5698,
+        )
+        z = 0.02814 + 0.00102j
+        cold = stieltjes_at(p, z)
+        warm = stieltjes_at(p, z, warm_start=-13.44 + 0.4668j)
+        assert cold == pytest.approx(-12.042 + 0.471j, abs=1e-3)
+        assert warm == pytest.approx(cold, abs=1e-9)
+
+    def test_companion_roots_have_one_herglotz_root_near_clustered_poles(self):
+        from isoedf import poly_roots
+
+        # seven atoms, five of them light: their roots crowd the poles just
+        # below the real axis, where unrefined companion eigenvalues often
+        # land in the upper half plane
+        atoms = (
+            (0.63674, 0.745), (1.19389, 0.157), (1.57589, 0.0196), (1.77978, 0.0196),
+            (2.12389, 0.0196), (2.74239, 0.0196), (6.11305, 0.0196),
+        )
+        p = FmcProblem(measure=AtomicMeasure(atoms=atoms, kind="reduced"), c=0.25)
+        poly = build_polynomial(p)
+        for x in np.linspace(0.15, 0.3, 60):
+            z = complex(x, 1e-6)
+            mc = poly_roots(poly.coefficients(z)) + (1 - 1 / p.c) / z
+            assert np.count_nonzero(mc.imag > 0) == 1
+
+
+class TestContinuationWithoutFallback:
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    @pytest.mark.parametrize("n", [4, 51, 128])
+    def test_every_point_accepted_by_continuation(self, monkeypatch, n, mode):
+        import isoedf.rmt as rmt
+        from isoedf import ArrayNoiseConfig
+
+        def no_roots(coeffs):
+            raise AssertionError("companion fallback reached")
+
+        worst = []
+        real_admissible = rmt._admissible
+
+        def recording(*args):
+            ok, residual = real_admissible(*args)
+            worst.append(residual.max())
+            return ok, residual
+
+        monkeypatch.setattr(rmt, "poly_roots", no_roots)
+        monkeypatch.setattr(rmt, "_admissible", recording)
+        for c in (0.05, 0.25, 1.0, 1.5, 20.0, 100.0):
+            predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=400)
+        assert max(worst) <= rmt._RESIDUAL_TOL
