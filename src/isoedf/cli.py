@@ -3,7 +3,8 @@
 Output convention: a `#`-prefixed JSON header line with run metadata,
 then plain CSV rows, so one file feeds both scripts and plot tools.
 Exit codes: 0 success (also when the reader closes the output pipe early),
-2 usage error or invalid input, 1 numeric failure.
+2 usage error or invalid input, 1 numeric failure.  Input checks live in
+the library constructors and functions; their ValueError exits 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 
 from .ecm import ArrayNoiseConfig, ensemble_spectrum
 from .linalg import NumericError
@@ -24,24 +25,20 @@ from .spike import classify, full_measure, reduce
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+    return f"{v:.12g}"  # also prints ints below 1e12, e.g. trial and index, unchanged
 
 
-def _open_out(args, stack: ExitStack):
-    if args.out:
-        return stack.enter_context(open(args.out, "w"))
-    return sys.stdout
-
-
-def _positive(parser, name: str, value, integer=False, minimum=None):
-    if value is None:
-        return
-    if integer and int(value) != value:
-        parser.error(f"{name} must be an integer, got {value}")
-    low = minimum if minimum is not None else (1 if integer else 0.0)
-    if (integer and value < low) or (not integer and value <= 0):
-        bound = f">= {low}" if integer else "> 0"
-        parser.error(f"{name} must be {bound}, got {value}")
+def _write(args, header, columns=None, rows=()):
+    """Print to --out or stdout: a `# header` line, the columns and CSV rows,
+    or, without columns, the header as an indented JSON report."""
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        if columns is None:
+            print(json.dumps(header, indent=2), file=out)
+            return
+        print(f"# {json.dumps(header)}", file=out)
+        print(columns, file=out)
+        for row in rows:
+            print(",".join(map(_fmt, row)), file=out)
 
 
 def _resolve_c_and_l(args, parser) -> tuple[float, int]:
@@ -53,7 +50,11 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
     if args.c is None and args.snapshots is None:
         parser.error("one of --c or --snapshots is required")
     if args.c is None:
+        if not args.snapshots > 0:
+            raise ValueError(f"snapshots must be a positive integer, got {args.snapshots}")
         return args.n / args.snapshots, args.snapshots
+    if not args.c > 0:
+        raise ValueError(f"aspect ratio c must be > 0, got {args.c}")
     snapshots = round(args.n / args.c)
     if args.snapshots is not None and args.snapshots != snapshots:
         parser.error(
@@ -65,26 +66,16 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
 
 def _cmd_eigvals(args, parser):
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        header = {"n": args.n, "zeta": args.zeta}
-        print(f"# {json.dumps(header)}", file=out)
-        print("index,gamma", file=out)
-        for i, g in enumerate(spectrum.values, start=1):
-            print(f"{i},{_fmt(g)}", file=out)
+    header = {"n": args.n, "zeta": args.zeta}
+    _write(args, header, "index,gamma", enumerate(spectrum.values, start=1))
 
 
 def _cmd_atoms(args, parser):
     c, _ = _resolve_c_and_l(args, parser)
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
     measure = reduce(classify(spectrum, c), args.n)
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        header = {"n": args.n, "zeta": args.zeta, "c": c, "atoms": len(measure.atoms)}
-        print(f"# {json.dumps(header)}", file=out)
-        print("location,weight", file=out)
-        for t, w in measure.atoms:
-            print(f"{_fmt(t)},{_fmt(w)}", file=out)
+    header = {"n": args.n, "zeta": args.zeta, "c": c, "atoms": len(measure.atoms)}
+    _write(args, header, "location,weight", measure.atoms)
 
 
 def _cmd_predict(args, parser):
@@ -97,19 +88,14 @@ def _cmd_predict(args, parser):
         eta=args.eta,
     )
     density = pred.density
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        header = {
-            "atoms": pred.atom_count,
-            "c": c,
-            "eta": args.eta,
-            "zero_mass": density.zero_mass,
-            "wall_ms": round(pred.wall_ms, 3),
-        }
-        print(f"# {json.dumps(header)}", file=out)
-        print("x,f", file=out)
-        for x, f in zip(density.grid, density.values):
-            print(f"{_fmt(x)},{_fmt(f)}", file=out)
+    header = {
+        "atoms": pred.atom_count,
+        "c": c,
+        "eta": args.eta,
+        "zero_mass": density.zero_mass,
+        "wall_ms": round(pred.wall_ms, 3),
+    }
+    _write(args, header, "x,f", zip(density.grid, density.values))
 
 
 def _cmd_simulate(args, parser):
@@ -119,30 +105,27 @@ def _cmd_simulate(args, parser):
         cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins
     )
     emp = run_mc(mc_cfg)
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        header = {
-            "n": args.n,
-            "zeta": args.zeta,
-            "snapshots": snapshots,
-            "trials": args.trials,
-            "seed": args.seed,
-            "bins": args.bins,
-            "c": mc_cfg.c,
-            "zero_count": emp.zero_count,
-        }
-        print(f"# {json.dumps(header)}", file=out)
-        if args.format == "pooled":
-            print("trial,index,g", file=out)
-            for trial in range(emp.trials):
-                for i, g in enumerate(emp.per_trial[trial], start=1):
-                    print(f"{trial},{i},{_fmt(g)}", file=out)
-        else:
-            print("bin_left,bin_right,height", file=out)
-            for left, right, h in zip(
-                emp.hist_edges[:-1], emp.hist_edges[1:], emp.hist_heights
-            ):
-                print(f"{_fmt(left)},{_fmt(right)},{_fmt(h)}", file=out)
+    header = {
+        "n": args.n,
+        "zeta": args.zeta,
+        "snapshots": snapshots,
+        "trials": args.trials,
+        "seed": args.seed,
+        "bins": args.bins,
+        "c": mc_cfg.c,
+        "zero_count": emp.zero_count,
+    }
+    if args.format == "pooled":
+        columns = "trial,index,g"
+        rows = (
+            (trial, i, g)
+            for trial, values in enumerate(emp.per_trial)
+            for i, g in enumerate(values, start=1)
+        )
+    else:
+        columns = "bin_left,bin_right,height"
+        rows = zip(emp.hist_edges[:-1], emp.hist_edges[1:], emp.hist_heights)
+    _write(args, header, columns, rows)
 
 
 def _cmd_compare(args, parser):
@@ -156,30 +139,22 @@ def _cmd_compare(args, parser):
     start = time.perf_counter()
     emp = run_mc(mc_cfg)
     mc_ms = (time.perf_counter() - start) * 1e3
-    rep = compare(
-        pred.density,
-        emp,
-        atom_count=pred.atom_count,
-        runtime_model_ms=pred.wall_ms,
-        runtime_mc_ms=mc_ms,
-    )
+    rep = compare(pred.density, emp)
     payload = {
         "n": args.n,
         "zeta": args.zeta,
         "c": c,
         "mode": args.mode,
-        "atom_count": rep.atom_count,
+        "atom_count": pred.atom_count,
         "ks": rep.ks,
         "l1": rep.l1,
         "zero_mass_model": rep.zero_mass_model,
         "zero_frac_empirical": rep.zero_frac_empirical,
-        "runtime_model_ms": round(rep.runtime_model_ms, 3),
-        "runtime_mc_ms": round(rep.runtime_mc_ms, 3),
+        "runtime_model_ms": round(pred.wall_ms, 3),
+        "runtime_mc_ms": round(mc_ms, 3),
         "seed": args.seed,
     }
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        print(json.dumps(payload, indent=2), file=out)
+    _write(args, payload)
 
 
 def _cmd_bench(args, parser):
@@ -206,9 +181,7 @@ def _cmd_bench(args, parser):
         "full_ms": round(full_ms, 3),
         "speedup": round(full_ms / reduced_ms, 3),
     }
-    with ExitStack() as stack:
-        out = _open_out(args, stack)
-        print(json.dumps(payload, indent=2), file=out)
+    _write(args, payload)
 
 
 def _add_common(sub, *, snapshots=False, model=False, sim=False):
@@ -268,23 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args, parser):
-    _positive(parser, "--n", args.n, integer=True, minimum=2)
-    _positive(parser, "--zeta", args.zeta)
-    _positive(parser, "--c", getattr(args, "c", None))
-    _positive(parser, "--snapshots", getattr(args, "snapshots", None), integer=True)
-    _positive(parser, "--trials", getattr(args, "trials", None), integer=True)
-    _positive(parser, "--bins", getattr(args, "bins", None), integer=True)
-    _positive(parser, "--eta", getattr(args, "eta", None))
-    gp = getattr(args, "grid_points", None)
-    if gp is not None and gp < 16:
-        parser.error(f"--grid-points must be >= 16, got {gp}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
     try:
         args.func(args, parser)
     except BrokenPipeError:

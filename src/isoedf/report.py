@@ -23,22 +23,12 @@ class ComparisonReport:
     l1: float
     zero_mass_model: float
     zero_frac_empirical: float
-    atom_count: int = 0
-    runtime_model_ms: float = 0.0
-    runtime_mc_ms: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.ks <= 1:
             raise ValueError(f"ks must lie in [0, 1], got {self.ks}")
         if self.l1 < 0:
             raise ValueError(f"l1 must be >= 0, got {self.l1}")
-
-
-def _cdf_table(d: SpectralDensity) -> tuple[np.ndarray, float]:
-    """Cumulative (zero atom + trapezoid) on the density grid, plus total mass."""
-    steps = 0.5 * (d.values[1:] + d.values[:-1]) * np.diff(d.grid)
-    cum = d.zero_mass + np.concatenate([[0.0], np.cumsum(steps)])
-    return cum, float(cum[-1])
 
 
 def model_cdf(d: SpectralDensity, x) -> np.ndarray | float:
@@ -50,20 +40,16 @@ def model_cdf(d: SpectralDensity, x) -> np.ndarray | float:
     |total mass - 1| reaches 1.2e-2 with 1500 points (N = 1024, c = 1.5,
     reduced model).  The rescaling spreads that error over the whole CDF.
     """
-    cum, total = _cdf_table(d)
+    steps = 0.5 * (d.values[1:] + d.values[:-1]) * np.diff(d.grid)
+    cum = d.zero_mass + np.concatenate([[0.0], np.cumsum(steps)])
+    total = float(cum[-1])
     xs = np.asarray(x, dtype=float)
     out = np.interp(xs, d.grid, cum / total, left=d.zero_mass / total, right=1.0)
     out = np.where(xs < 0, 0.0, out)
     return out if out.ndim else float(out)
 
 
-def compare(
-    model: SpectralDensity,
-    emp: EmpiricalSpectrum,
-    atom_count: int = 0,
-    runtime_model_ms: float = 0.0,
-    runtime_mc_ms: float = 0.0,
-) -> ComparisonReport:
+def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     """KS and L1 distances between a predicted density and pooled eigenvalues.
 
     KS is the two-sided sup over the pooled points; at the shared atom at
@@ -74,14 +60,9 @@ def compare(
     if len(pooled) == 0:
         raise ValueError("empirical spectrum is empty")
     total_count = len(pooled)
-    cum, total = _cdf_table(model)
     xs = np.unique(pooled)
-    f_right = np.where(
-        xs < 0,
-        0.0,
-        np.interp(xs, model.grid, cum / total, left=model.zero_mass / total, right=1.0),
-    )
-    f_left = f_right - np.where(xs == 0.0, model.zero_mass / total, 0.0)
+    f_right = model_cdf(model, xs)
+    f_left = np.where(xs == 0.0, 0.0, f_right)  # model_cdf is 0 below zero
     e_right = np.searchsorted(pooled, xs, side="right") / total_count
     e_left = np.searchsorted(pooled, xs, side="left") / total_count
     ks = max(
@@ -98,7 +79,4 @@ def compare(
         l1=l1,
         zero_mass_model=model.zero_mass,
         zero_frac_empirical=emp.zero_fraction,
-        atom_count=atom_count,
-        runtime_model_ms=runtime_model_ms,
-        runtime_mc_ms=runtime_mc_ms,
     )

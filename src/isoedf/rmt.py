@@ -333,6 +333,8 @@ def _auto_grid(p: FmcProblem, points: int) -> np.ndarray:
     grid cannot integrate that to the mass tolerance, so grade the points
     as u^2 instead.
     """
+    if points < 16:
+        raise ValueError(f"points must be >= 16, got {points}")
     rc = math.sqrt(p.c)
     locs = p.measure.locations
     t_min, t_max = float(locs[0]), float(locs[-1])

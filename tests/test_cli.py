@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoedf import ArrayNoiseConfig, predict_edf
+from isoedf import ArrayNoiseConfig, McConfig, compare, ensemble_spectrum, predict_edf, run_mc
 from isoedf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -119,3 +119,101 @@ def test_closed_pipe_exits_quietly():
     assert lines[1] == b"x,f\n"
     assert b"Traceback" not in err
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigvals", "--n", 1],
+        ["eigvals", "--n", 12, "--zeta", 0],
+        ["eigvals", "--n", 12, "--zeta", "nan"],
+        ["predict", "--n", 12, "--c", 0],
+        ["predict", "--n", 12, "--c", -1],
+        ["predict", "--n", 12, "--c", "nan"],
+        ["simulate", "--n", 12, "--snapshots", 0],
+        ["simulate", "--n", 12, "--c", 0.5, "--trials", 0],
+        ["simulate", "--n", 12, "--c", 0.5, "--bins", 0],
+        ["predict", "--n", 12, "--c", 0.5, "--eta", 0],
+        ["predict", "--n", 12, "--c", 0.5, "--grid-points", 15],
+        ["predict", "--n", 12, "--c", 1, "--grid-points", 15],
+        ["compare", "--n", 12, "--c", 0],
+    ],
+    ids=lambda argv: " ".join(map(str, argv)),
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("isoedf: invalid input: ") and "Traceback" not in err
+
+
+def raw_rows(text):
+    """Data rows of a `#`-headed CSV output as lists of field strings."""
+    return [line.split(",") for line in text.splitlines()[2:]]
+
+
+def test_eigvals_rows(capsys):
+    code, out, _ = run_cli(capsys, "eigvals", "--n", 12)
+    assert code == 0
+    rows = raw_rows(out)
+    assert [r[0] for r in rows] == [str(i) for i in range(1, 13)]
+    expected = ensemble_spectrum(ArrayNoiseConfig(n=12)).values
+    np.testing.assert_allclose([float(r[1]) for r in rows], expected, rtol=1e-11)
+
+
+def test_pooled_rows(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", 12, "--snapshots", 24, "--trials", 3, "--seed", 5
+    )
+    assert code == 0
+    rows = raw_rows(out)
+    assert [r[0] for r in rows] == [str(t) for t in range(3) for _ in range(12)]
+    assert [r[1] for r in rows] == [str(i) for _ in range(3) for i in range(1, 13)]
+    emp = run_mc(McConfig(cfg=ArrayNoiseConfig(n=12), snapshots=24, trials=3, seed=5))
+    np.testing.assert_allclose([float(r[2]) for r in rows], emp.per_trial.ravel(), rtol=1e-11)
+
+
+def test_hist_rows(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", 12, "--snapshots", 24, "--trials", 3, "--seed", 5,
+        "--bins", 10, "--format", "hist",
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    emp = run_mc(
+        McConfig(cfg=ArrayNoiseConfig(n=12), snapshots=24, trials=3, seed=5, bins=10)
+    )
+    np.testing.assert_allclose(rows[:, 0], emp.hist_edges[:-1], rtol=1e-11)
+    np.testing.assert_allclose(rows[:, 1], emp.hist_edges[1:], rtol=1e-11)
+    np.testing.assert_allclose(rows[:, 2], emp.hist_heights, rtol=1e-11)
+
+
+def test_bench_payload(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--n", 51, "--c", 0.5, "--grid-points", 200)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "n", "zeta", "c", "grid_points", "eta", "atoms_reduced", "atoms_full",
+        "reduced_ms", "full_ms", "speedup",
+    ]
+    assert payload["atoms_reduced"] < payload["atoms_full"] == 51
+    assert payload["grid_points"] == 200 and payload["c"] == 0.5
+
+
+def test_compare_payload(capsys):
+    code, out, _ = run_cli(
+        capsys, "compare", "--n", 12, "--c", 0.5, "--trials", 2, "--grid-points", 64
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "n", "zeta", "c", "mode", "atom_count", "ks", "l1", "zero_mass_model",
+        "zero_frac_empirical", "runtime_model_ms", "runtime_mc_ms", "seed",
+    ]
+    pred = predict_edf(ArrayNoiseConfig(n=12), 0.5, points=64)
+    emp = run_mc(McConfig(cfg=ArrayNoiseConfig(n=12), snapshots=24, trials=2))
+    rep = compare(pred.density, emp)
+    assert payload["atom_count"] == pred.atom_count
+    assert (payload["ks"], payload["l1"]) == (rep.ks, rep.l1)
+    assert payload["runtime_model_ms"] > 0 and payload["runtime_mc_ms"] > 0

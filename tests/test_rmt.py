@@ -391,3 +391,12 @@ class TestContinuationWithoutFallback:
         for c in (0.05, 0.25, 1.0, 1.5, 20.0, 100.0):
             predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=400)
         assert max(worst) <= rmt._RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_predict_edf_rejects_fewer_than_16_points(c):
+    # c = 0.5 takes the uniform default grid, c = 1 the square-root graded one
+    from isoedf import ArrayNoiseConfig
+
+    with pytest.raises(ValueError, match="points must be >= 16"):
+        predict_edf(ArrayNoiseConfig(n=12), c, points=15)
