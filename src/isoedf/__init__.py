@@ -16,10 +16,9 @@ from .rmt import (
     FmcProblem,
     SolverError,
     SpectralDensity,
-    StieltjesPolynomial,
-    build_polynomial,
     default_grid,
     density_curve,
+    polynomial_coefficients,
     predict_edf,
     stieltjes_at,
 )
@@ -42,10 +41,8 @@ __all__ = [
     "SolverError",
     "SpectralDensity",
     "SpikeClassification",
-    "StieltjesPolynomial",
     "bessel_j0",
     "build_ecm",
-    "build_polynomial",
     "classify",
     "compare",
     "default_grid",
@@ -58,6 +55,7 @@ __all__ = [
     "model_cdf",
     "mp_density",
     "poly_roots",
+    "polynomial_coefficients",
     "predict_edf",
     "reduce",
     "run_mc",

@@ -4,13 +4,15 @@ Output convention: a `#`-prefixed JSON header line with run metadata,
 then plain CSV rows, so one file feeds both scripts and plot tools.
 Exit codes: 0 success (also when the reader closes the output pipe early),
 2 usage error or invalid input, 1 numeric failure.  Input checks live in
-the library constructors and functions; their ValueError exits 2.
+the library constructors and functions; their ValueError exits 2, and so
+does an OSError from opening --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -20,7 +22,7 @@ from .ecm import ArrayNoiseConfig, ensemble_spectrum
 from .linalg import NumericError
 from .mc import McConfig, run_mc
 from .report import compare
-from .rmt import FmcProblem, SolverError, _auto_grid, density_curve, predict_edf
+from .rmt import FmcProblem, SolverError, default_grid, density_curve, predict_edf
 from .spike import classify, full_measure, reduce
 
 
@@ -53,8 +55,8 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
         if not args.snapshots > 0:
             raise ValueError(f"snapshots must be a positive integer, got {args.snapshots}")
         return args.n / args.snapshots, args.snapshots
-    if not args.c > 0:
-        raise ValueError(f"aspect ratio c must be > 0, got {args.c}")
+    if not 0 < args.c < math.inf:
+        raise ValueError(f"aspect ratio c must be finite and > 0, got {args.c}")
     snapshots = round(args.n / args.c)
     if args.snapshots is not None and args.snapshots != snapshots:
         parser.error(
@@ -73,7 +75,7 @@ def _cmd_eigvals(args, parser):
 def _cmd_atoms(args, parser):
     c, _ = _resolve_c_and_l(args, parser)
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
-    measure = reduce(classify(spectrum, c), args.n)
+    measure = reduce(classify(spectrum, c))
     header = {"n": args.n, "zeta": args.zeta, "c": c, "atoms": len(measure.atoms)}
     _write(args, header, "location,weight", measure.atoms)
 
@@ -160,9 +162,9 @@ def _cmd_compare(args, parser):
 def _cmd_bench(args, parser):
     c, _ = _resolve_c_and_l(args, parser)
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
-    reduced = FmcProblem(measure=reduce(classify(spectrum, c), args.n), c=c)
+    reduced = FmcProblem(measure=reduce(classify(spectrum, c)), c=c)
     full = FmcProblem(measure=full_measure(spectrum), c=c)
-    grid = _auto_grid(full, args.grid_points)
+    grid = default_grid(full, args.grid_points)
     start = time.perf_counter()
     density_curve(reduced, grid, args.eta)
     reduced_ms = (time.perf_counter() - start) * 1e3
@@ -256,7 +258,7 @@ def main(argv=None) -> int:
     except (SolverError, NumericError) as e:
         print(f"isoedf: numeric failure: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"isoedf: invalid input: {e}", file=sys.stderr)
         return 2
     return 0

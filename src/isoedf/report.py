@@ -36,7 +36,7 @@ def model_cdf(d: SpectralDensity, x) -> np.ndarray | float:
 
     Renormalized by the total mass so the value at the grid end is
     exactly 1.  The quadrature leakage this hides is not bounded: the
-    uniform default grid under-resolves narrow spike bands, and
+    default grid under-resolves narrow spike bands, and
     |total mass - 1| reaches 1.2e-2 with 1500 points (N = 1024, c = 1.5,
     reduced model).  The rescaling spreads that error over the whole CDF.
     """

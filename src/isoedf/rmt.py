@@ -65,16 +65,21 @@ class FmcProblem:
     c: float
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValueError(f"aspect ratio c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"aspect ratio c must be finite and > 0, got {self.c}")
 
     @property
     def zero_mass(self) -> float:
         return zero_atom_mass(self.c)
 
 
-def _equation_coefficients(atoms, c, z) -> np.ndarray:
-    """Ascending coefficients in m of the denominator-cleared master equation."""
+def polynomial_coefficients(p: FmcProblem, z: complex) -> np.ndarray:
+    """Ascending coefficients in m of the denominator-cleared master equation.
+
+    The polynomial has degree atom count + 1.  For the unit single-atom
+    measure it is the quadratic  c z m^2 - (1 - c - z) m + 1.
+    """
+    atoms, c, z = p.measure.atoms, p.c, complex(z)
     k = len(atoms)
     # each factor is a_j + b_j m with a_j = t_j (1-c) - z, b_j = -c z t_j
     factors = [(t * (1 - c) - z, -c * z * t) for t, _ in atoms]
@@ -90,28 +95,6 @@ def _equation_coefficients(atoms, c, z) -> np.ndarray:
         full = np.convolve(full, [aj, bj])
     coeffs[1:] -= full
     return coeffs
-
-
-@dataclass(frozen=True)
-class StieltjesPolynomial:
-    """Denominator-cleared master equation as a polynomial in m at fixed z.
-
-    degree = atom count + 1.  For the unit single-atom measure the
-    coefficients reduce to the quadratic  c z m^2 - (1 - c - z) m + 1.
-    """
-
-    problem: FmcProblem
-    degree: int
-
-    def coefficients(self, z: complex) -> np.ndarray:
-        """Ascending coefficients (length degree + 1) of the polynomial in m."""
-        return _equation_coefficients(
-            self.problem.measure.atoms, self.problem.c, complex(z)
-        )
-
-
-def build_polynomial(p: FmcProblem) -> StieltjesPolynomial:
-    return StieltjesPolynomial(problem=p, degree=len(p.measure.atoms) + 1)
 
 
 def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL):
@@ -191,7 +174,7 @@ def _continue(ct, w, z0, x, eta, top):
 
 def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
     """Admissible root nearest `near` among the polished companion-matrix roots."""
-    coeffs = _equation_coefficients(p.measure.atoms, p.c, z)
+    coeffs = polynomial_coefficients(p, z)
     try:
         roots = poly_roots(coeffs / np.max(np.abs(coeffs)))
     except NumericError:
@@ -205,13 +188,12 @@ def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
     return admissible[np.argmin(np.abs(admissible - near))]
 
 
-def _solve(p: FmcProblem, x: np.ndarray, eta: float, warm_start=None) -> np.ndarray:
+def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     """Roots mc = m + (1 - 1/c)/z at z = x + i eta for every x.
 
     Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
-    eta continuation, or by Newton from `warm_start` (a value of m) when
-    one is given.  A point whose root fails the acceptance test goes to
-    companion-matrix enumeration.
+    eta continuation.  A point whose root fails the acceptance test goes
+    to companion-matrix enumeration.
     """
     ct = p.c * p.measure.locations[:, None]
     w = p.measure.weights[:, None]
@@ -222,10 +204,7 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float, warm_start=None) -> np.ndar
     for lo in range(0, len(x), size):
         xb = x[lo : lo + size]
         z = xb + 1j * eta
-        if warm_start is None:
-            mc = _continue(ct, w, z0, xb, eta, top)
-        else:
-            mc = _newton(ct, w, z0, z, warm_start + z0 / z)
+        mc = _continue(ct, w, z0, xb, eta, top)
         ok, _ = _admissible(ct, w, z0, z, mc)
         for j in np.flatnonzero(~ok):
             mc[j] = _companion(p, ct, w, z0, complex(z[j]), mc[j])
@@ -233,19 +212,18 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float, warm_start=None) -> np.ndar
     return out
 
 
-def stieltjes_at(p: FmcProblem, z: complex, warm_start: complex | None = None) -> complex:
+def stieltjes_at(p: FmcProblem, z: complex) -> complex:
     """Stieltjes transform of the limiting spectrum at z (upper half plane).
 
     Runs the grid solver on the single point Re z: Newton follows the
-    root from the far field down to Im z, or, when `warm_start` is given,
-    starts from it at z itself.  The accepted root must have Im m > 0
-    and Im mc > 0 and satisfy the defining equation to 1e-10 relative;
-    otherwise the companion-matrix roots are tried.
+    root from the far field down to Im z.  The accepted root must have
+    Im m > 0 and Im mc > 0 and satisfy the defining equation to 1e-10
+    relative; otherwise the companion-matrix roots are tried.
     """
     z = complex(z)
     if not z.imag > 0:
         raise ValueError(f"z must lie in the upper half plane, got {z}")
-    mc = _solve(p, np.array([z.real]), z.imag, warm_start)[0]
+    mc = _solve(p, np.array([z.real]), z.imag)[0]
     return complex(mc - (1 - 1 / p.c) / z)
 
 
@@ -310,28 +288,14 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
 
 
 def default_grid(p: FmcProblem, points: int) -> np.ndarray:
-    """Uniform grid covering the limiting support with edge margins.
+    """Grid covering the limiting support with edge margins.
 
-    Spans [max(1e-4, 0.5 t_min (1-sqrt(c))^2 for c < 1), 1.25 t_max (1+sqrt(c))^2],
-    which contains every atom's smeared band t (1 +- sqrt(c))^2.
-    """
-    if points < 16:
-        raise ValueError(f"points must be >= 16, got {points}")
-    rc = math.sqrt(p.c)
-    locs = p.measure.locations
-    t_min, t_max = float(locs[0]), float(locs[-1])
-    lo = 0.5 * t_min * (1 - rc) ** 2 if p.c < 1 else 0.0
-    lo = max(1e-4, lo)
-    hi = 1.25 * t_max * (1 + rc) ** 2
-    return np.linspace(lo, hi, points)
-
-
-def _auto_grid(p: FmcProblem, points: int) -> np.ndarray:
-    """Default grid, switching to square-root grading when the bulk touches zero.
-
-    Near c = 1 the density behaves like x^(-1/2) at the origin; a uniform
-    grid cannot integrate that to the mass tolerance, so grade the points
-    as u^2 instead.
+    Ends at hi = 1.25 t_max (1+sqrt(c))^2, beyond every atom's smeared
+    band t (1 +- sqrt(c))^2.  When the bulk reaches the origin,
+    t_min (1-sqrt(c))^2 < 1e-4 hi (c near 1), the density behaves like
+    x^(-1/2) there and a uniform grid cannot integrate it to the mass
+    tolerance, so the points are graded as u^2 on [1e-6, hi].  Otherwise
+    the grid is uniform from max(1e-4, 0.5 t_min (1-sqrt(c))^2 for c < 1).
     """
     if points < 16:
         raise ValueError(f"points must be >= 16, got {points}")
@@ -343,7 +307,8 @@ def _auto_grid(p: FmcProblem, points: int) -> np.ndarray:
     if edge < 1e-4 * hi:
         u = np.linspace(math.sqrt(1e-6), math.sqrt(hi), points)
         return u * u
-    return default_grid(p, points)
+    lo = 0.5 * edge if p.c < 1 else 0.0
+    return np.linspace(max(1e-4, lo), hi, points)
 
 
 @dataclass(frozen=True)
@@ -363,7 +328,6 @@ def predict_edf(
     mode: str = "reduced",
     points: int = 1500,
     eta: float = 1e-6,
-    grid: np.ndarray | None = None,
 ) -> EdfPrediction:
     """End-to-end prediction: spectrum -> (collapse | keep all) -> density."""
     if mode not in ("reduced", "full"):
@@ -371,13 +335,11 @@ def predict_edf(
     start = time.perf_counter()
     spectrum = ensemble_spectrum(cfg)
     if mode == "reduced":
-        measure = reduce(classify(spectrum, c), cfg.n)
+        measure = reduce(classify(spectrum, c))
     else:
         measure = full_measure(spectrum)
     problem = FmcProblem(measure=measure, c=c)
-    if grid is None:
-        grid = _auto_grid(problem, points)
-    density = density_curve(problem, grid, eta)
+    density = density_curve(problem, default_grid(problem, points), eta)
     wall_ms = (time.perf_counter() - start) * 1e3
     return EdfPrediction(
         density=density,

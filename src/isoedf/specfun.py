@@ -107,8 +107,8 @@ class MpParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ValueError(f"aspect ratio c must be > 0, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"aspect ratio c must be finite and > 0, got {self.c}")
         if not (self.scale > 0):
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
@@ -138,6 +138,6 @@ def mp_density(x: float, p: MpParams) -> float:
 
 def zero_atom_mass(c: float) -> float:
     """Mass of the point mass at zero in the limiting law: max(0, 1 - 1/c)."""
-    if not (c > 0):
-        raise ValueError(f"aspect ratio c must be > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
     return max(0.0, 1.0 - 1.0 / c)

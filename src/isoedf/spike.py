@@ -85,8 +85,8 @@ def classify(spectrum: EnsembleSpectrum, c: float) -> SpikeClassification:
     background, exactly at t_high counts as mid band (distinct atoms
     require strict excess).
     """
-    if not (c > 0):
-        raise ValueError(f"aspect ratio c must be > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
     values = spectrum.values
     if len(values) == 0:
         raise ValueError("spectrum is empty")
@@ -112,17 +112,14 @@ def classify(spectrum: EnsembleSpectrum, c: float) -> SpikeClassification:
     )
 
 
-def reduce(cls: SpikeClassification, n: int) -> AtomicMeasure:
+def reduce(cls: SpikeClassification) -> AtomicMeasure:
     """Collapsed measure: distinct atoms at 1/n each, mid and background lumps.
 
-    Atoms with zero count are omitted entirely so the downstream
-    polynomial degree stays minimal.
+    n = len(gamma_dist) + n_mid + n_low is the size of the classified
+    spectrum.  Atoms with zero count are omitted entirely so the
+    downstream polynomial degree stays minimal.
     """
-    if len(cls.gamma_dist) + cls.n_mid + cls.n_low != n:
-        raise ValueError(
-            f"classification partitions {len(cls.gamma_dist) + cls.n_mid + cls.n_low} "
-            f"eigenvalues, expected {n}"
-        )
+    n = len(cls.gamma_dist) + cls.n_mid + cls.n_low
     pairs = [(float(g), 1.0 / n) for g in cls.gamma_dist]
     if cls.n_mid > 0:
         pairs.append((cls.gamma_mid, cls.n_mid / n))

@@ -130,6 +130,8 @@ def test_closed_pipe_exits_quietly():
         ["predict", "--n", 12, "--c", 0],
         ["predict", "--n", 12, "--c", -1],
         ["predict", "--n", 12, "--c", "nan"],
+        ["predict", "--n", 12, "--c", "inf", "--grid-points", 32],
+        ["atoms", "--n", 12, "--c", "inf"],
         ["simulate", "--n", 12, "--snapshots", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--trials", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--bins", 0],
@@ -137,6 +139,7 @@ def test_closed_pipe_exits_quietly():
         ["predict", "--n", 12, "--c", 0.5, "--grid-points", 15],
         ["predict", "--n", 12, "--c", 1, "--grid-points", 15],
         ["compare", "--n", 12, "--c", 0],
+        ["eigvals", "--n", 12, "--out", "/dev/null/x.csv"],
     ],
     ids=lambda argv: " ".join(map(str, argv)),
 )

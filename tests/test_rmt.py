@@ -11,10 +11,10 @@ from isoedf import (
     AtomicMeasure,
     FmcProblem,
     MpParams,
-    build_polynomial,
     default_grid,
     density_curve,
     mp_density,
+    polynomial_coefficients,
     predict_edf,
     stieltjes_at,
 )
@@ -53,22 +53,25 @@ def problems(draw, max_atoms=8):
     return FmcProblem(measure=measure_from(locs, raw), c=c)
 
 
+@pytest.mark.parametrize("c", [0.0, math.inf, math.nan])
+def test_problem_rejects_bad_ratio(c):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        unit_atom(c)
+
+
 class TestBuildPolynomial:
     def test_single_atom_reduces_to_mp_quadratic(self):
         for c, z in [(0.25, 1.0 + 0.5j), (1.5, 0.3 + 2.0j), (0.5, -1.0 + 1e-3j)]:
-            poly = build_polynomial(unit_atom(c))
-            assert poly.degree == 2
-            got = poly.coefficients(z)
+            got = polynomial_coefficients(unit_atom(c), z)
+            assert len(got) == 3
             expected = np.array([1.0, -(1 - c - z), c * z])
             np.testing.assert_allclose(got, expected, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(problems())
     def test_degree_is_atom_count_plus_one(self, p):
-        poly = build_polynomial(p)
         k = len(p.measure.atoms)
-        assert poly.degree == k + 1
-        assert len(poly.coefficients(0.7 + 0.3j)) == k + 2
+        assert len(polynomial_coefficients(p, 0.7 + 0.3j)) == k + 2
 
     def test_two_atom_symbolic_expansion(self):
         # independent oracle: expand the cleared equation with sympy
@@ -86,7 +89,7 @@ class TestBuildPolynomial:
         problem = FmcProblem(
             measure=AtomicMeasure(atoms=((1.0, 0.5), (4.0, 0.5)), kind="reduced"), c=0.5
         )
-        got = build_polynomial(problem).coefficients(complex(2, 1))
+        got = polynomial_coefficients(problem, complex(2, 1))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -110,7 +113,7 @@ class TestStieltjesAt:
     def test_residual_at_returned_root(self, spectrum51):
         from isoedf import classify, reduce
 
-        reduced = FmcProblem(measure=reduce(classify(spectrum51, 0.25), 51), c=0.25)
+        reduced = FmcProblem(measure=reduce(classify(spectrum51, 0.25)), c=0.25)
         cases = [
             (unit_atom(0.25), 1.0 + 1e-6j),
             (unit_atom(1.5), 0.01 + 1e-6j),  # inside the gap below the bulk
@@ -121,13 +124,6 @@ class TestStieltjesAt:
         for p, z in cases:
             m = stieltjes_at(p, z)
             assert fixed_point_residual(p, z, m) <= 1e-10
-
-    def test_warm_start_converges_to_same_root(self):
-        p = unit_atom(0.5)
-        z = 1.2 + 1e-5j
-        cold = stieltjes_at(p, z)
-        warm = stieltjes_at(p, z, warm_start=cold + 1e-3)
-        assert abs(cold - warm) <= 1e-9
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -225,9 +221,15 @@ class TestDefaultGrid:
     def test_reference_case_covers_top_spike_band(self, spectrum51):
         from isoedf import classify, reduce
 
-        p = FmcProblem(measure=reduce(classify(spectrum51, 0.25), 51), c=0.25)
+        p = FmcProblem(measure=reduce(classify(spectrum51, 0.25)), c=0.25)
         grid = default_grid(p, 64)
         assert grid[-1] >= 13.7
+
+    def test_bulk_at_the_origin_is_graded_as_squares(self):
+        grid = default_grid(unit_atom(1.0), 64)
+        assert grid[0] == pytest.approx(1e-6)
+        assert grid[-1] == pytest.approx(5.0)
+        np.testing.assert_allclose(np.diff(np.sqrt(grid)), np.diff(np.sqrt(grid))[0])
 
     def test_uniform_spacing(self):
         grid = default_grid(unit_atom(0.5), 50)
@@ -255,11 +257,6 @@ class TestPredictEdf:
         pred = predict_edf(cfg51, 0.5, mode="full", points=300)
         assert pred.atom_count == 51
 
-    def test_grid_override(self, cfg51):
-        grid = np.linspace(0.3, 9.0, 200)
-        pred = predict_edf(cfg51, 0.5, points=300, grid=grid)
-        np.testing.assert_array_equal(pred.density.grid, grid)
-
     def test_refinement_stability(self, cfg51):
         coarse = predict_edf(cfg51, 0.25, points=800, eta=1e-6)
         fine = predict_edf(cfg51, 0.25, points=1600, eta=5e-7)
@@ -277,16 +274,15 @@ class TestGridSolverAgainstPolynomial:
     def test_density_equals_admissible_polynomial_root(self, spectrum51, c):
         from isoedf import classify, poly_roots, reduce
 
-        p = FmcProblem(measure=reduce(classify(spectrum51, c), 51), c=c)
+        p = FmcProblem(measure=reduce(classify(spectrum51, c)), c=c)
         eta = 1e-6
         d = density_curve(p, default_grid(p, 1500), eta)
         inside = np.flatnonzero(d.values > 1e-2 * d.values.max())
         picked = inside[np.linspace(0, len(inside) - 1, 20).astype(int)]
-        poly = build_polynomial(p)
         z0 = 1 - 1 / c
         for j in picked:
             z = complex(d.grid[j], eta)
-            roots = poly_roots(poly.coefficients(z))
+            roots = poly_roots(polynomial_coefficients(p, z))
             # the one root whose companion transform (m + z0/z) is Herglotz
             (m,) = [r for r in roots if (r + z0 / z).imag > 0]
             expected = (m + p.zero_mass / z).imag / math.pi
@@ -335,8 +331,11 @@ class TestCompanionFallback:
 
 
 class TestBranchSelection:
-    def test_warm_start_near_the_wrong_branch_is_rejected(self):
-        # for c > 1, G(mc) also has a root with Im m > 0 but Im mc < 0
+    def test_warm_start_near_the_wrong_branch_is_rejected(self, monkeypatch):
+        import isoedf.rmt as rmt
+
+        # for c > 1, G(mc) also has a root with Im m > 0 but Im mc < 0;
+        # Newton started near it at z itself lands on it
         p = FmcProblem(
             measure=measure_from(
                 (1.0546, 1.2275, 1.8005, 1.9233, 1.9447),
@@ -346,7 +345,16 @@ class TestBranchSelection:
         )
         z = 0.02814 + 0.00102j
         cold = stieltjes_at(p, z)
-        warm = stieltjes_at(p, z, warm_start=-13.44 + 0.4668j)
+        wrong = []
+
+        def wrong_branch(ct, w, z0, x, eta, top):
+            zs = x + 1j * eta
+            wrong.append(rmt._newton(ct, w, z0, zs, -13.44 + 0.4668j + z0 / zs))
+            return wrong[-1].copy()
+
+        monkeypatch.setattr(rmt, "_continue", wrong_branch)
+        warm = stieltjes_at(p, z)
+        assert wrong[0][0].imag < 0
         assert cold == pytest.approx(-12.042 + 0.471j, abs=1e-3)
         assert warm == pytest.approx(cold, abs=1e-9)
 
@@ -361,10 +369,9 @@ class TestBranchSelection:
             (2.12389, 0.0196), (2.74239, 0.0196), (6.11305, 0.0196),
         )
         p = FmcProblem(measure=AtomicMeasure(atoms=atoms, kind="reduced"), c=0.25)
-        poly = build_polynomial(p)
         for x in np.linspace(0.15, 0.3, 60):
             z = complex(x, 1e-6)
-            mc = poly_roots(poly.coefficients(z)) + (1 - 1 / p.c) / z
+            mc = poly_roots(polynomial_coefficients(p, z)) + (1 - 1 / p.c) / z
             assert np.count_nonzero(mc.imag > 0) == 1
 
 

@@ -66,7 +66,9 @@ class TestMpParams:
         a, b = MpParams(c=0.25, scale=2.0).support
         assert a == pytest.approx(0.5) and b == pytest.approx(4.5)
 
-    @pytest.mark.parametrize("kwargs", [{"c": 0.0}, {"c": -1.0}, {"c": 1.0, "scale": 0.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"c": 0.0}, {"c": -1.0}, {"c": 1.0, "scale": 0.0}, {"c": math.inf}]
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MpParams(**kwargs)
@@ -145,7 +147,7 @@ class TestZeroAtomMass:
         assert zero_atom_mass(1.0) == 0.0
         assert zero_atom_mass(1.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    @pytest.mark.parametrize("c", [0.0, -2.0])
+    @pytest.mark.parametrize("c", [0.0, -2.0, math.inf])
     def test_domain(self, c):
         with pytest.raises(ValueError):
             zero_atom_mass(c)

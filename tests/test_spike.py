@@ -66,6 +66,8 @@ class TestClassify:
     def test_bad_ratio_rejected(self, spectrum51):
         with pytest.raises(ValueError):
             classify(spectrum51, 0.0)
+        with pytest.raises(ValueError):
+            classify(spectrum51, math.inf)
 
     @settings(max_examples=100, deadline=None)
     @given(positive_spectra, aspect_ratios)
@@ -82,7 +84,7 @@ class TestClassify:
 
 class TestReduce:
     def test_n51_quarter_ratio_atoms(self, spectrum51):
-        measure = reduce(classify(spectrum51, 0.25), 51)
+        measure = reduce(classify(spectrum51, 0.25))
         assert measure.kind == "reduced"
         assert len(measure.atoms) == 7  # 5 distinct + mid + background
         assert math.fsum(measure.weights) == pytest.approx(1.0, abs=1e-12)
@@ -91,30 +93,26 @@ class TestReduce:
         assert locs[0] == spectrum51.gamma_n
 
     def test_n51_half_ratio_is_five_atoms(self, spectrum51):
-        measure = reduce(classify(spectrum51, 0.5), 51)
+        measure = reduce(classify(spectrum51, 0.5))
         assert len(measure.atoms) == 5
         assert sorted(measure.weights)[:3] == [1 / 51] * 3
 
     def test_collapses_to_single_atom(self):
         spectrum = spectrum_from([2.0, 2.0, 2.0])
-        measure = reduce(classify(spectrum, 0.25), 3)
+        measure = reduce(classify(spectrum, 0.25))
         assert measure.atoms == ((2.0, 1.0),)
 
     def test_mid_atom_omitted_when_empty(self):
         spectrum = spectrum_from([10.0, 1.0, 1.0])
-        measure = reduce(classify(spectrum, 0.04), 3)
+        measure = reduce(classify(spectrum, 0.04))
         locations = measure.locations
         assert len(measure.atoms) == 2
         assert locations[0] == 1.0 and locations[1] == 10.0
 
-    def test_inconsistent_count_rejected(self, spectrum51):
-        with pytest.raises(ValueError):
-            reduce(classify(spectrum51, 0.25), 50)
-
     @settings(max_examples=100, deadline=None)
     @given(positive_spectra, aspect_ratios)
     def test_mass_conserved(self, spectrum, c):
-        measure = reduce(classify(spectrum, c), spectrum.n)
+        measure = reduce(classify(spectrum, c))
         assert abs(math.fsum(measure.weights) - 1.0) <= 1e-12
 
     @settings(max_examples=100, deadline=None)
@@ -122,7 +120,7 @@ class TestReduce:
     def test_first_moment_drift_bound(self, spectrum, c):
         # collapsed atoms move at most half the collapsed band width
         cls = classify(spectrum, c)
-        reduced = reduce(cls, spectrum.n)
+        reduced = reduce(cls)
         full = full_measure(spectrum)
         bound = (cls.t_high - cls.gamma_n) / 2 * (cls.n_mid + cls.n_low) / spectrum.n
         assert abs(reduced.mean - full.mean) <= bound + 1e-9
