@@ -5,7 +5,7 @@ then plain CSV rows, so one file feeds both scripts and plot tools.
 Exit codes: 0 success (also when the reader closes the output pipe early),
 2 usage error or invalid input, 1 numeric failure.  Input checks live in
 the library constructors and functions; their ValueError exits 2, and so
-does an OSError from opening --out.
+does an OSError from opening --out, which happens before any computation.
 """
 
 from __future__ import annotations
@@ -30,17 +30,16 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"  # also prints ints below 1e12, e.g. trial and index, unchanged
 
 
-def _write(args, header, columns=None, rows=()):
-    """Print to --out or stdout: a `# header` line, the columns and CSV rows,
-    or, without columns, the header as an indented JSON report."""
-    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        if columns is None:
-            print(json.dumps(header, indent=2), file=out)
-            return
-        print(f"# {json.dumps(header)}", file=out)
-        print(columns, file=out)
-        for row in rows:
-            print(",".join(map(_fmt, row)), file=out)
+def _write(out, header, columns=None, rows=()):
+    """Print to `out`: a `# header` line, the columns and CSV rows, or,
+    without columns, the header as an indented JSON report."""
+    if columns is None:
+        print(json.dumps(header, indent=2), file=out)
+        return
+    print(f"# {json.dumps(header)}", file=out)
+    print(columns, file=out)
+    for row in rows:
+        print(",".join(map(_fmt, row)), file=out)
 
 
 def _resolve_c_and_l(args, parser) -> tuple[float, int]:
@@ -66,21 +65,21 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
     return args.c, snapshots
 
 
-def _cmd_eigvals(args, parser):
+def _cmd_eigvals(args, parser, out):
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
     header = {"n": args.n, "zeta": args.zeta}
-    _write(args, header, "index,gamma", enumerate(spectrum.values, start=1))
+    _write(out, header, "index,gamma", enumerate(spectrum.values, start=1))
 
 
-def _cmd_atoms(args, parser):
+def _cmd_atoms(args, parser, out):
     c, _ = _resolve_c_and_l(args, parser)
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
     measure = reduce(classify(spectrum, c))
     header = {"n": args.n, "zeta": args.zeta, "c": c, "atoms": len(measure.atoms)}
-    _write(args, header, "location,weight", measure.atoms)
+    _write(out, header, "location,weight", measure.atoms)
 
 
-def _cmd_predict(args, parser):
+def _cmd_predict(args, parser, out):
     c, _ = _resolve_c_and_l(args, parser)
     pred = predict_edf(
         ArrayNoiseConfig(n=args.n, zeta=args.zeta),
@@ -97,10 +96,10 @@ def _cmd_predict(args, parser):
         "zero_mass": density.zero_mass,
         "wall_ms": round(pred.wall_ms, 3),
     }
-    _write(args, header, "x,f", zip(density.grid, density.values))
+    _write(out, header, "x,f", zip(density.grid, density.values))
 
 
-def _cmd_simulate(args, parser):
+def _cmd_simulate(args, parser, out):
     _, snapshots = _resolve_c_and_l(args, parser)
     cfg = ArrayNoiseConfig(n=args.n, zeta=args.zeta)
     mc_cfg = McConfig(
@@ -127,10 +126,10 @@ def _cmd_simulate(args, parser):
     else:
         columns = "bin_left,bin_right,height"
         rows = zip(emp.hist_edges[:-1], emp.hist_edges[1:], emp.hist_heights)
-    _write(args, header, columns, rows)
+    _write(out, header, columns, rows)
 
 
-def _cmd_compare(args, parser):
+def _cmd_compare(args, parser, out):
     _, snapshots = _resolve_c_and_l(args, parser)
     cfg = ArrayNoiseConfig(n=args.n, zeta=args.zeta)
     mc_cfg = McConfig(
@@ -156,10 +155,10 @@ def _cmd_compare(args, parser):
         "runtime_mc_ms": round(mc_ms, 3),
         "seed": args.seed,
     }
-    _write(args, payload)
+    _write(out, payload)
 
 
-def _cmd_bench(args, parser):
+def _cmd_bench(args, parser, out):
     c, _ = _resolve_c_and_l(args, parser)
     spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
     reduced = FmcProblem(measure=reduce(classify(spectrum, c)), c=c)
@@ -183,7 +182,7 @@ def _cmd_bench(args, parser):
         "full_ms": round(full_ms, 3),
         "speedup": round(full_ms / reduced_ms, 3),
     }
-    _write(args, payload)
+    _write(out, payload)
 
 
 def _add_common(sub, *, snapshots=False, model=False, sim=False):
@@ -247,7 +246,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args, parser)
+        # --out is opened first, so a bad path fails before any computation
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+            args.func(args, parser, out)
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so
         # the interpreter's final flush of the buffered rest cannot raise

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linalg import sym_eigenvalues
 from .specfun import bessel_j0
@@ -68,11 +69,21 @@ class EnsembleSpectrum:
         return float(self.values[-1])
 
 
+def _j0_row(cfg: ArrayNoiseConfig) -> np.ndarray:
+    """First row of the covariance: J0(alpha k) for k = 0 .. n-1."""
+    return bessel_j0(cfg.alpha * np.arange(cfg.n))
+
+
+def _toeplitz(row: np.ndarray) -> np.ndarray:
+    """Read-only view of the symmetric Toeplitz matrix with first row `row`."""
+    m = len(row)
+    mirrored = np.concatenate([row[:0:-1], row])  # mirrored[k] = row[|k - (m-1)|]
+    return sliding_window_view(mirrored, m)[::-1]
+
+
 def build_ecm(cfg: ArrayNoiseConfig) -> np.ndarray:
     """N x N covariance: entry (p, q) = J0(alpha |p - q|), unit diagonal."""
-    first_row = np.array([bessel_j0(cfg.alpha * k) for k in range(cfg.n)])
-    idx = np.arange(cfg.n)
-    return first_row[np.abs(idx[:, None] - idx[None, :])]
+    return _toeplitz(_j0_row(cfg)).copy()
 
 
 def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
@@ -83,16 +94,19 @@ def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
     1976).  With m = n // 2, A = T[:m, :m] and JB = T[n-m:, :m] with its
     rows reversed, the spectrum is eig(A + JB) together with eig(A - JB);
     for odd n the even block is bordered by sqrt(2) T[:m, m] and T[m, m].
+    Both blocks are read straight off the first row r of T:
+    A[i, j] = r[|i - j|] and JB[i, j] = r[n-1-i-j], so T itself is never
+    formed.
     """
-    t = build_ecm(cfg)
+    row = _j0_row(cfg)
     n = cfg.n
     m = n // 2
-    a = t[:m, :m]
-    jb = t[n - m :, :m][::-1]
+    a = _toeplitz(row[:m])
+    jb = sliding_window_view(row[::-1], m)[:m]
     even = a + jb
     if n % 2:
-        border = math.sqrt(2) * t[:m, m : m + 1]
-        even = np.block([[even, border], [border.T, t[m : m + 1, m : m + 1]]])
+        border = math.sqrt(2) * row[m:0:-1, None]
+        even = np.block([[even, border], [border.T, row[:1, None]]])
     values = np.concatenate([sym_eigenvalues(even), sym_eigenvalues(a - jb)])
     return EnsembleSpectrum(values=np.sort(values)[::-1], n=n)
 

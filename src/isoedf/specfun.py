@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Rational approximations for the Hankel asymptotic form of J0 on x > 8
 # (Cephes bessj0 coefficients, public domain).  The form is
 #   J0(x) = sqrt(2/(pi x)) * (P(q) cos(x - pi/4) - (5/x) Q(q) sin(x - pi/4))
@@ -53,50 +55,44 @@ _QQ = (
 )
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1
+# P and Q numerators and denominators side by side, zero-padded to degree 7
+# (a leading 0 leaves Horner's rounding as is); Q's leading 1 is written out.
+_HANKEL = np.array([(0.0, *_PP), (0.0, *_PQ), _QP, (1.0, *_QQ)]).T
+_SERIES_K2 = np.arange(1.0, 61.0) ** 2  # k^2 for the 60 series terms
 
 
-def _polevl(x: float, coef) -> float:
+def _polevl(x, coef):
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef) -> float:
-    # leading coefficient 1 is implicit
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.
+def bessel_j0(x):
+    """Bessel function of the first kind, order zero, of a scalar or an array.
 
     Power series up to |x| = 8 (cancellation is still mild there),
     Hankel asymptotic form with rational corrections beyond.  Absolute
-    error stays below 1e-13 out to |x| = 200.
+    error stays below 1e-13 out to |x| = 200.  A scalar gives a float,
+    an array an array of the same shape, evaluated in one pass.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel_j0 requires finite input, got {x!r}")
-    x = abs(x)
-    if x <= 8.0:
-        q = 0.25 * x * x
-        total = 1.0
-        term = 1.0
-        k = 0
-        while abs(term) > 1e-18 and k < 60:
-            k += 1
-            term *= -q / (k * k)
-            total += term
-        return total
-    w = 5.0 / x
-    q = 25.0 / (x * x)
-    p = _polevl(q, _PP) / _polevl(q, _PQ)
-    s = _polevl(q, _QP) / _p1evl(q, _QQ)
-    xn = x - _PIO4
-    return _SQ2OPI * (p * math.cos(xn) - w * s * math.sin(xn)) / math.sqrt(x)
+    x = np.abs(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("bessel_j0 requires finite input")
+    out = np.empty_like(x)
+    near = x <= 8.0
+    # term k of sum_k (-q)^k / (k!)^2 is term k-1 times -q / k^2; summed in order
+    q = 0.25 * x[near] * x[near]
+    terms = np.cumprod(-q[:, None] / _SERIES_K2, axis=1)
+    out[near] = np.cumsum(np.hstack([np.ones_like(q)[:, None], terms]), axis=1)[:, -1]
+    far = x[~near]
+    w = 5.0 / far
+    p_num, p_den, q_num, q_den = _polevl(25.0 / (far * far)[:, None], _HANKEL).T
+    xn = far - _PIO4
+    out[~near] = (
+        _SQ2OPI * (p_num / p_den * np.cos(xn) - w * (q_num / q_den) * np.sin(xn)) / np.sqrt(far)
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,20 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert err.startswith("isoedf: invalid input: ") and "Traceback" not in err
 
 
+def test_bad_out_fails_before_any_computation(capsys, monkeypatch):
+    def no_mc(mc):
+        raise AssertionError("run_mc called before --out was opened")
+
+    monkeypatch.setattr("isoedf.cli.run_mc", no_mc)
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", 51, "--c", 0.25, "--trials", 2000, "--out", "/dev/null/x.csv"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("isoedf: invalid input: ")
+
+
 def raw_rows(text):
     """Data rows of a `#`-headed CSV output as lists of field strings."""
     return [line.split(",") for line in text.splitlines()[2:]]

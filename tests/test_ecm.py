@@ -6,6 +6,7 @@ import pytest
 from isoedf import (
     ArrayNoiseConfig,
     EnsembleSpectrum,
+    bessel_j0,
     build_ecm,
     ensemble_spectrum,
     sym_eigenvalues,
@@ -41,6 +42,14 @@ class TestBuildEcm:
             for q in range(7):
                 assert sigma[p, q] == sigma[0, abs(p - q)]
         np.testing.assert_array_equal(sigma, sigma.T)
+
+
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0])
+    def test_first_row_matches_scalar_j0(self, zeta):
+        cfg = ArrayNoiseConfig(n=1024, zeta=zeta)
+        row = build_ecm(cfg)[0]
+        scalar = np.array([bessel_j0(cfg.alpha * k) for k in range(cfg.n)])
+        np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-15)
 
 
 class TestEnsembleSpectrum:
@@ -123,3 +132,15 @@ class TestSzego:
             symbol = np.array([szego_density(w, cfg) for w in omegas])
             distances[n] = _ks_two_empirical(eig, symbol)
         assert distances[256] < distances[64]
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 51, 256, 257])
+    @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0])
+    def test_matches_the_dense_scalar_j0_covariance(self, n, zeta):
+        # the half-size blocks come straight off the first row; check them
+        # against the full matrix built entry by entry from scalar J0 calls
+        cfg = ArrayNoiseConfig(n=n, zeta=zeta)
+        first = [bessel_j0(cfg.alpha * k) for k in range(n)]
+        dense = np.array([[first[abs(p - q)] for q in range(n)] for p in range(n)])
+        expected = sym_eigenvalues(dense)
+        got = ensemble_spectrum(cfg).values
+        np.testing.assert_allclose(got, np.clip(expected, 0, None), rtol=1e-13, atol=1e-13 * expected[0])

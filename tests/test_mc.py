@@ -48,6 +48,24 @@ class TestGaussianSnapshots:
             got = gaussian_snapshots(51, 204, make_stream(17, trial))
             np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double"
+    )
+    def test_phase_within_one_and_a_half_ulp_of_a_longdouble_reference(self):
+        # g / radius against cos and sin of 2 pi u2 in extended precision; the
+        # full-range double angle 2 pi u2 alone is off by up to 6.9e-16
+        two_pi = 2 * np.arccos(np.longdouble(-1))
+        worst = 0.0
+        for trial in range(20):
+            stream = make_stream(23, trial)
+            u1, u2 = stream.random((51, 204)), stream.random((51, 204))
+            radius = np.sqrt(-np.log1p(-u1)).astype(np.longdouble)
+            phase = two_pi * u2.astype(np.longdouble)
+            got = gaussian_snapshots(51, 204, make_stream(23, trial))
+            for part, ref in ((got.real, np.cos(phase)), (got.imag, np.sin(phase))):
+                worst = max(worst, float(np.max(np.abs(part.astype(np.longdouble) / radius - ref))))
+        assert worst <= 3.3e-16
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             gaussian_snapshots(0, 4, make_stream(0, 0))
@@ -62,6 +80,23 @@ class TestScmEigenvalues:
         vals = scm_eigenvalues(np.eye(4), 2, make_stream(3, 0))
         assert np.count_nonzero(vals > 1e-9 * vals[0]) == 2
         assert np.all(np.abs(vals[2:]) <= 1e-9 * vals[0])
+
+    @pytest.mark.parametrize("l", [1, 17, 50, 51, 52])
+    def test_matches_the_n_by_n_gram(self, l):
+        # for L < N the L x L Gram gives the nonzero part and N - L exact zeros
+        n = 51
+        half = sqrt_psd(build_ecm(ArrayNoiseConfig(n=n, zeta=0.5)))
+        g = gaussian_snapshots(n, l, make_stream(8, l))
+        x = half @ g
+        expected = np.linalg.eigvalsh(x @ x.conj().T / l)[::-1]
+        got = scm_eigenvalues(half, l, make_stream(8, l))
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * expected[0])
+        assert np.all(got[min(l, n) :] == 0.0)
+
+    def test_rejects_complex_sigma_half(self):
+        with pytest.raises(ValueError):
+            scm_eigenvalues(np.eye(4, dtype=complex), 8, make_stream(0, 0))
 
     def test_mean_eigenvalue_matches_unit_trace(self):
         total = 0.0

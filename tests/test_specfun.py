@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoedf import MpParams, bessel_j0, mp_density, zero_atom_mass
+from isoedf.specfun import _PP, _PQ, _QP, _QQ
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -22,7 +23,40 @@ def j0_series(x: float, terms: int = 40) -> float:
     return total
 
 
+def j0_scalar_loop(x: float) -> float:
+    """One value at a time: the series term by term up to |x| = 8, Horner
+    on each of the four Hankel polynomials beyond."""
+    x = abs(x)
+    if x <= 8.0:
+        q = 0.25 * x * x
+        total = term = 1.0
+        for k in range(1, 61):
+            term *= -q / (k * k)
+            total += term
+        return total
+
+    def horner(coef, v):
+        ans = 0.0
+        for c in coef:
+            ans = ans * v + c
+        return ans
+
+    q = 25.0 / (x * x)
+    p = horner(_PP, q) / horner(_PQ, q)
+    s = horner(_QP, q) / horner((1.0, *_QQ), q)
+    xn = x - math.pi / 4
+    return math.sqrt(2 / math.pi) * (p * math.cos(xn) - 5.0 / x * s * math.sin(xn)) / math.sqrt(x)
+
+
 class TestBesselJ0:
+    def test_array_matches_the_scalar_loop(self):
+        xs = np.concatenate([np.linspace(-200.0, 200.0, 4001), 0.5 * np.pi * np.arange(128)])
+        expected = np.array([j0_scalar_loop(x) for x in xs])
+        np.testing.assert_allclose(bessel_j0(xs), expected, rtol=0, atol=1e-15)
+        assert bessel_j0(xs.reshape(-1, 1)).shape == (len(xs), 1)
+        assert isinstance(bessel_j0(3.0), float)
+
+
     def test_at_zero(self):
         assert bessel_j0(0.0) == 1.0
 
