@@ -31,8 +31,8 @@ class ArrayNoiseConfig:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"sensor count n must be an integer >= 2, got {self.n}")
-        if not (self.zeta > 0):
-            raise ValueError(f"zeta must be > 0, got {self.zeta}")
+        if not (self.zeta > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"zeta must be > 0 with alpha = 2 pi zeta finite, got {self.zeta}")
 
     @property
     def alpha(self) -> float:

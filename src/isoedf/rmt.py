@@ -16,14 +16,19 @@ coordinate mc = m + (1 - 1/c)/z, where the equation reads
 and has exactly one root with Im mc > 0.  Newton runs on all grid
 points together while Im z steps down from the far field to eta; the
 polynomial's companion-matrix roots are the fallback at any point that
-fails the acceptance test.  Im z shrinks tenfold per level; a level
-above eta only supplies the start of the next, so it is solved to a
-relative step of 1e-4, and only the level at eta to 1e-14.  The boundary
-density is recovered from the imaginary part on the grid.
+fails the acceptance test.  Im z shrinks by a factor of 0.03 per level.
+Each level starts from a predictor: the root of the level above moved
+along its tangent dmc/dz = -mc/G'(mc), with the G' that Newton formed
+on its last step, or the root itself where that prediction is not
+finite or leaves Im mc > 0.  A level above eta only supplies the start
+of the next, so it is solved to a relative step of 1e-4, and only the
+level at eta to 1e-14.  The boundary density is recovered from the
+imaginary part on the grid.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,7 +44,7 @@ _RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-14
 _MAX_HALVINGS = 60
-_ETA_RATIO = 0.1  # Im z shrinks by this factor per continuation level
+_ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
 _NEGATIVE_DENSITY_TOL = 1e-8
@@ -97,28 +102,30 @@ def polynomial_coefficients(p: FmcProblem, z: complex) -> np.ndarray:
     return coeffs
 
 
-def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL):
+def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL, slope=None):
     """Newton on G(mc) = z mc - z0 + sum_i w_i / (1 + c t_i mc), one root per z.
 
     ct = c t and w are (atoms, 1) columns; z and mc are 1-D.  Each step
-    builds one atoms x points array t = 1 + c t_i mc, inverts it in place
-    and takes both atom sums as matrix products: sum_i w_i / t_i, then,
-    after squaring, sum_i c t_i w_i / t_i^2 for G'.  A step that would
-    take Im mc from positive to nonpositive is halved until it does not,
-    so an iterate never leaves the half plane that holds the root.  A
-    point stops once its step is at most tol relative to max(1, |mc|).
+    takes G and the atoms x points array 1 / (1 + c t_i mc) from _g,
+    squares that array in place and takes
+    G' = z - sum_i c t_i w_i / (1 + c t_i mc)^2 as one more matrix
+    product.  A step that would take Im mc from positive to
+    nonpositive is halved until it does not, so an iterate never leaves
+    the half plane that holds the root.  A point stops once its step is
+    at most tol relative to max(1, |mc|).  If given, slope receives each
+    point's G' from its last step.
     """
     mc = np.array(mc, dtype=complex)
     w_row, ctw_row = w.T, (ct * w).T
     todo = np.arange(len(mc))
     for _ in range(_NEWTON_MAX_ITER):
         zi, mi = z[todo], mc[todo]
-        t = ct * mi
-        t += 1
-        np.reciprocal(t, out=t)
-        g = zi * mi - z0 + _row_times(w_row, t)
+        g, t = _g(ct, w_row, z0, zi, mi)
         t *= t
-        step = g / (zi - _row_times(ctw_row, t))
+        dg = zi - _row_times(ctw_row, t)
+        if slope is not None:
+            slope[todo] = dg
+        step = g / dg
         new = mi - step
         for _ in range(_MAX_HALVINGS):
             low = (new.imag <= 0) & (mi.imag > 0)
@@ -131,6 +138,18 @@ def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL):
         if not len(todo):
             break
     return mc
+
+
+def _g(ct, w_row, z0, z, mc):
+    """G(mc) and the atoms x points array 1 / (1 + c t_i mc) it was summed from.
+
+    The array is built once and inverted in place; its weighted atom sum
+    is one matrix product with the (1, atoms) row w_row.
+    """
+    t = ct * mc
+    t += 1
+    np.reciprocal(t, out=t)
+    return z * mc - z0 + _row_times(w_row, t), t
 
 
 def _row_times(row, t):
@@ -149,27 +168,38 @@ def _admissible(ct, w, z0, z, mc):
     unique; for c > 1, Im m > 0 alone also admits a root with Im mc < 0.
     """
     m = mc - z0 / z
-    g = z * mc - z0 + (w / (1 + ct * mc)).sum(axis=0)
+    g, _ = _g(ct, w.T, z0, z, mc)
     residual = np.abs(g / z) / np.maximum(1.0, np.abs(m))
     return (m.imag > 0) & (mc.imag > 0) & (residual <= _RESIDUAL_TOL), residual
 
 
 def _continue(ct, w, z0, x, eta, top):
-    """Roots at x + i eta, reached by Newton at Im z = 0.1 top, 0.01 top, ..., eta.
+    """Roots at x + i eta, reached by Newton at Im z = 0.03 top, 0.03^2 top, ..., eta.
 
     The first level starts from the far-field value mc = -(1 - z0)/z at
-    Im z = top, i.e. m = -1/z; every later level starts from the roots of
-    the level above.  The levels above eta only have to land the next
-    start near its root, so they stop at a relative step of _LEVEL_TOL;
-    the level at eta runs to _NEWTON_TOL.
+    Im z = top, i.e. m = -1/z.  Every later level starts from a tangent
+    prediction: with G' the derivative Newton formed on its last step at
+    the level above, dmc/dz = -mc/G', so the start is
+    mc - (mc/G') i (h_new - h).  Where that is not finite or has
+    Im mc <= 0, the level starts from the root above instead.  The levels
+    above eta only have to land the next start near its root, so they
+    stop at a relative step of _LEVEL_TOL; the level at eta runs to
+    _NEWTON_TOL.
     """
     h = max(top, eta)
     mc = -(1 - z0) / (x + 1j * h)
+    slope = None
     while True:
-        h = max(eta, _ETA_RATIO * h)
+        lower = max(eta, _ETA_RATIO * h)
+        if slope is not None:
+            with np.errstate(all="ignore"):
+                guess = mc - mc / slope * (1j * (lower - h))
+            mc = np.where(np.isfinite(guess) & (guess.imag > 0), guess, mc)
+        h = lower
         if h == eta:
             return _newton(ct, w, z0, x + 1j * h, mc)
-        mc = _newton(ct, w, z0, x + 1j * h, mc, _LEVEL_TOL)
+        slope = np.empty_like(mc)
+        mc = _newton(ct, w, z0, x + 1j * h, mc, _LEVEL_TOL, slope)
 
 
 def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
@@ -215,14 +245,15 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
 def stieltjes_at(p: FmcProblem, z: complex) -> complex:
     """Stieltjes transform of the limiting spectrum at z (upper half plane).
 
-    Runs the grid solver on the single point Re z: Newton follows the
-    root from the far field down to Im z.  The accepted root must have
+    Runs the grid solver on the single point Re z: a tangent predictor
+    and Newton follow the root from the far field down to Im z by factors
+    of 0.03; z must be finite.  The accepted root must have
     Im m > 0 and Im mc > 0 and satisfy the defining equation to 1e-10
     relative; otherwise the companion-matrix roots are tried.
     """
     z = complex(z)
-    if not z.imag > 0:
-        raise ValueError(f"z must lie in the upper half plane, got {z}")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValueError(f"z must be finite and lie in the upper half plane, got {z}")
     mc = _solve(p, np.array([z.real]), z.imag)[0]
     return complex(mc - (1 - 1 / p.c) / z)
 
@@ -260,16 +291,19 @@ class SpectralDensity:
 def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> SpectralDensity:
     """Boundary density of the continuous part, Im m(x + i eta)/pi, along a grid.
 
-    All grid points are solved together by Newton continuation in Im z,
-    from max(10, 2 x_max) down to eta by factors of 0.1.  For c > 1 the
-    zero atom's pole is subtracted (the samples are Im mc/pi), so they
-    describe only the continuous part.
+    All grid points are solved together by predictor-corrector Newton
+    continuation in Im z, from max(10, 2 x_max) down to eta by factors of
+    0.03.  Grid points and eta must be finite.  For c > 1 the zero atom's
+    pole is subtracted (the samples are Im mc/pi), so they describe only
+    the continuous part.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a strictly ascending 1-D array")
-    if not (eta > 0):
-        raise ValueError(f"eta must be > 0, got {eta}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid points must be finite")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and > 0, got {eta}")
     if p.c >= 1 and grid[0] <= 0:
         raise ValueError("grid points must be > 0 for c >= 1 (zero atom is separate)")
     mc = _solve(p, grid, eta)

@@ -136,6 +136,9 @@ def test_closed_pipe_exits_quietly():
         ["simulate", "--n", 12, "--c", 0.5, "--trials", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--bins", 0],
         ["predict", "--n", 12, "--c", 0.5, "--eta", 0],
+        ["predict", "--n", 12, "--c", 0.5, "--eta", "inf", "--grid-points", 32],
+        ["eigvals", "--n", 12, "--zeta", "inf"],
+        ["eigvals", "--n", 12, "--zeta", 1e308],
         ["predict", "--n", 12, "--c", 0.5, "--grid-points", 15],
         ["predict", "--n", 12, "--c", 1, "--grid-points", 15],
         ["compare", "--n", 12, "--c", 0],

@@ -24,6 +24,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ArrayNoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("zeta", [math.inf, math.nan, 1e308])
+    def test_rejects_non_finite_alpha(self, zeta):
+        # 2 pi 1e308 overflows to inf, so a finite zeta can still be refused
+        with pytest.raises(ValueError, match="finite"):
+            ArrayNoiseConfig(n=12, zeta=zeta)
+
 
 class TestBuildEcm:
     @pytest.mark.parametrize("zeta", [0.25, 0.5, 1.0])

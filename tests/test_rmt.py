@@ -400,6 +400,88 @@ class TestContinuationWithoutFallback:
         assert max(worst) <= rmt._RESIDUAL_TOL
 
 
+def random_problem(rng, clustered):
+    """Up to 12 atoms, uniform in [0.05, 20] or within 1e-3 of three centres."""
+    k = int(rng.integers(1, 13))
+    if clustered:
+        centres = rng.uniform(0.05, 20.0, 3)
+        locs = rng.choice(centres, k) + rng.uniform(-1e-3, 1e-3, k)
+    else:
+        locs = rng.uniform(0.05, 20.0, k)
+    locs = np.unique(locs)
+    c = math.exp(rng.uniform(math.log(0.01), math.log(100.0)))
+    return FmcProblem(measure=measure_from(locs, rng.dirichlet(np.ones(len(locs)))), c=c)
+
+
+class TestContinuationSchedule:
+    """The continuation alone lands every point: the companion is never needed."""
+
+    @staticmethod
+    def forbid_companion(monkeypatch):
+        import isoedf.rmt as rmt
+
+        def no_roots(coeffs):
+            raise AssertionError("companion fallback reached")
+
+        monkeypatch.setattr(rmt, "poly_roots", no_roots)
+
+    def test_random_measures(self, monkeypatch):
+        self.forbid_companion(monkeypatch)
+        rng = np.random.default_rng(20161026)
+        for i in range(100):
+            p = random_problem(rng, clustered=bool(i % 2))
+            grid = default_grid(p, int(rng.choice([64, 400, 1500])))
+            assert np.all(np.isfinite(density_curve(p, grid).values))
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-9])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    @pytest.mark.parametrize("n", [4, 51, 128])
+    def test_scenarios_away_from_the_default_eta(self, monkeypatch, n, mode, eta):
+        from isoedf import ArrayNoiseConfig
+
+        self.forbid_companion(monkeypatch)
+        for c in (0.05, 0.25, 1.0, 1.5, 20.0, 100.0):
+            predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=400, eta=eta)
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-9])
+    @pytest.mark.parametrize("c", [0.25, 1.5])
+    def test_density_equals_admissible_polynomial_root(self, spectrum51, c, eta):
+        from isoedf import classify, poly_roots, reduce
+
+        p = FmcProblem(measure=reduce(classify(spectrum51, c)), c=c)
+        d = density_curve(p, default_grid(p, 1500), eta)
+        inside = np.flatnonzero(d.values > 1e-2 * d.values.max())
+        picked = inside[np.linspace(0, len(inside) - 1, 20).astype(int)]
+        z0 = 1 - 1 / c
+        for j in picked:
+            z = complex(d.grid[j], eta)
+            (m,) = [r for r in poly_roots(polynomial_coefficients(p, z)) if (r + z0 / z).imag > 0]
+            expected = (m + p.zero_mass / z).imag / math.pi
+            assert d.values[j] == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_density_curve_rejects_non_finite_eta(eta):
+    p = unit_atom(0.25)
+    with pytest.raises(ValueError, match="eta must be finite and > 0"):
+        density_curve(p, default_grid(p, 32), eta)
+
+
+@pytest.mark.parametrize("grid", [[1.0, math.inf], [-math.inf, 1.0], [math.nan, 1.0]])
+def test_density_curve_rejects_non_finite_grid(grid):
+    # an infinite point would start the continuation at Im z = inf, which never shrinks
+    with pytest.raises(ValueError, match="grid"):
+        density_curve(unit_atom(0.5), np.array(grid))
+
+
+@pytest.mark.parametrize(
+    "z", [complex(1.0, math.inf), complex(math.inf, 1.0), complex(math.nan, 1.0)]
+)
+def test_stieltjes_at_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="finite"):
+        stieltjes_at(unit_atom(0.5), z)
+
+
 @pytest.mark.parametrize("c", [0.5, 1.0])
 def test_predict_edf_rejects_fewer_than_16_points(c):
     # c = 0.5 takes the uniform default grid, c = 1 the square-root graded one
