@@ -21,6 +21,7 @@ from .rmt import (
     polynomial_coefficients,
     predict_edf,
     stieltjes_at,
+    stieltjes_by_enumeration,
 )
 from .specfun import MpParams, bessel_j0, mp_density, zero_atom_mass
 from .spike import AtomicMeasure, SpikeClassification, classify, full_measure, reduce
@@ -62,6 +63,7 @@ __all__ = [
     "scm_eigenvalues",
     "sqrt_psd",
     "stieltjes_at",
+    "stieltjes_by_enumeration",
     "sym_eigenvalues",
     "szego_density",
     "zero_atom_mass",

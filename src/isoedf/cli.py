@@ -3,7 +3,7 @@
 Output convention: a `#`-prefixed JSON header line with run metadata,
 then plain CSV rows, so one file feeds both scripts and plot tools.
 Exit codes: 0 success (also when the reader closes the output pipe early),
-2 usage error or invalid input, 1 numeric failure.  Input checks live in
+2 usage error or invalid input, 1 numeric failure or out of memory.  Input checks live in
 the library constructors and functions; their ValueError exits 2, and so
 does an OSError from opening --out, which happens before any computation.
 """
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return 0
     except (SolverError, NumericError) as e:
         print(f"isoedf: numeric failure: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"isoedf: out of memory: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as e:
         print(f"isoedf: invalid input: {e}", file=sys.stderr)

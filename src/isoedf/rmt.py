@@ -7,22 +7,21 @@ spectrum solves the self-consistency equation
     m = sum_i w_i / (t_i (1 - c - c z m) - z),
 
 the scalar master equation of the convolution.  Cleared of denominators
-it is a degree-(k+1) polynomial in m.  Instead of enumerating its roots
-at every point, the whole grid is solved at once in the regularized
-coordinate mc = m + (1 - 1/c)/z, where the equation reads
+it is a degree-(k+1) polynomial in m; stieltjes_by_enumeration is the
+per-point reference that enumerates its roots.  The grid solver instead
+works on the whole grid at once in mc = m + (1 - 1/c)/z, where it reads
 
     G(mc) = z mc - (1 - 1/c) + sum_i w_i / (1 + c t_i mc) = 0
 
-and has exactly one root with Im mc > 0.  Newton runs on all grid
-points together while Im z steps down from the far field to eta; the
-polynomial's companion-matrix roots are the fallback at any point that
-fails the acceptance test.  Im z shrinks by a factor of 0.03 per level.
-Each level starts from a predictor: the root of the level above moved
-along its tangent dmc/dz = -mc/G'(mc), with the G' that Newton formed
-on its last step, or the root itself where that prediction is not
-finite or leaves Im mc > 0.  A level above eta only supplies the start
-of the next, so it is solved to a relative step of 1e-4, and only the
-level at eta to 1e-14.  The boundary density is recovered from the
+and has exactly one root with Im mc > 0.  Newton runs on all grid points
+together while Im z steps down from the far field to eta by a factor of
+0.03 per level; a point whose root then fails the acceptance test raises
+SolverError.  Each level starts from a predictor: the root of the level
+above moved along its tangent dmc/dz = -mc/G'(mc), with the G' that
+Newton formed on its last step, or the root itself where that prediction
+is not finite or leaves Im mc > 0.  A level above eta only supplies the
+start of the next, so it is solved to a relative step of 1e-4, and only
+the level at eta to 1e-14.  The boundary density is recovered from the
 imaginary part on the grid.
 """
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecm import ArrayNoiseConfig, ensemble_spectrum
-from .linalg import NumericError, poly_roots
+from .linalg import poly_roots
 from .spike import AtomicMeasure, classify, full_measure, reduce
 from .specfun import zero_atom_mass
 
@@ -47,7 +46,6 @@ _MAX_HALVINGS = 60
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
-_NEGATIVE_DENSITY_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -202,28 +200,12 @@ def _continue(ct, w, z0, x, eta, top):
         mc = _newton(ct, w, z0, x + 1j * h, mc, _LEVEL_TOL, slope)
 
 
-def _companion(p: FmcProblem, ct, w, z0, z: complex, near: complex) -> complex:
-    """Admissible root nearest `near` among the polished companion-matrix roots."""
-    coeffs = polynomial_coefficients(p, z)
-    try:
-        roots = poly_roots(coeffs / np.max(np.abs(coeffs)))
-    except NumericError:
-        roots = np.empty(0, dtype=complex)
-    zs = np.full(len(roots), z)
-    mc = _newton(ct, w, z0, zs, roots + z0 / z)
-    ok, residual = _admissible(ct, w, z0, zs, mc)
-    if not ok.any():
-        raise SolverError(z, float(np.fmin.reduce(residual, initial=math.inf)))
-    admissible = mc[ok]
-    return admissible[np.argmin(np.abs(admissible - near))]
-
-
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     """Roots mc = m + (1 - 1/c)/z at z = x + i eta for every x.
 
     Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
-    eta continuation.  A point whose root fails the acceptance test goes
-    to companion-matrix enumeration.
+    eta continuation.  If a root fails the acceptance test, SolverError
+    names the first such point's z and residual.
     """
     ct = p.c * p.measure.locations[:, None]
     w = p.measure.weights[:, None]
@@ -235,27 +217,51 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
         xb = x[lo : lo + size]
         z = xb + 1j * eta
         mc = _continue(ct, w, z0, xb, eta, top)
-        ok, _ = _admissible(ct, w, z0, z, mc)
-        for j in np.flatnonzero(~ok):
-            mc[j] = _companion(p, ct, w, z0, complex(z[j]), mc[j])
+        ok, residual = _admissible(ct, w, z0, z, mc)
+        if not ok.all():
+            j = np.flatnonzero(~ok)[0]
+            raise SolverError(complex(z[j]), float(residual[j]))
         out[lo : lo + size] = mc
     return out
+
+
+def _upper_half_plane(z: complex) -> complex:
+    z = complex(z)
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValueError(f"z must be finite and lie in the upper half plane, got {z}")
+    return z
 
 
 def stieltjes_at(p: FmcProblem, z: complex) -> complex:
     """Stieltjes transform of the limiting spectrum at z (upper half plane).
 
-    Runs the grid solver on the single point Re z: a tangent predictor
-    and Newton follow the root from the far field down to Im z by factors
-    of 0.03; z must be finite.  The accepted root must have
-    Im m > 0 and Im mc > 0 and satisfy the defining equation to 1e-10
-    relative; otherwise the companion-matrix roots are tried.
+    Runs the grid solver at the one point Re z with eta = Im z (z finite);
+    a root that fails the acceptance test raises SolverError.
     """
-    z = complex(z)
-    if not (z.imag > 0 and cmath.isfinite(z)):
-        raise ValueError(f"z must be finite and lie in the upper half plane, got {z}")
+    z = _upper_half_plane(z)
     mc = _solve(p, np.array([z.real]), z.imag)[0]
     return complex(mc - (1 - 1 / p.c) / z)
+
+
+def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
+    """Stieltjes transform at z by enumeration: the per-point O(k^3) reference.
+
+    Each companion-matrix root of polynomial_coefficients(p, z) is polished
+    by Newton on G; the one that passes the acceptance test with the least
+    residual is returned, else SolverError.  The grid solver never calls
+    this; z must be finite with Im z > 0.
+    """
+    z = _upper_half_plane(z)
+    ct = p.c * p.measure.locations[:, None]
+    w = p.measure.weights[:, None]
+    z0 = 1 - 1 / p.c
+    roots = poly_roots(polynomial_coefficients(p, z))
+    zs = np.full(len(roots), z)
+    mc = _newton(ct, w, z0, zs, roots + z0 / z)
+    ok, residual = _admissible(ct, w, z0, zs, mc)
+    if not ok.any():
+        raise SolverError(z, float(np.fmin.reduce(residual)))
+    return complex(mc[ok][np.argmin(residual[ok])] - z0 / z)
 
 
 @dataclass(frozen=True)
@@ -295,7 +301,9 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     continuation in Im z, from max(10, 2 x_max) down to eta by factors of
     0.03.  Grid points and eta must be finite.  For c > 1 the zero atom's
     pole is subtracted (the samples are Im mc/pi), so they describe only
-    the continuous part.
+    the continuous part.  A point that fails the acceptance test raises
+    SolverError; as mc holds m + (1 - 1/c)/z, rounding alone leaves a
+    residual near 1e-16/(c |z|), which fails the 1e-10 bound below c ~ 3e-6.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
@@ -310,15 +318,7 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     if p.c <= 1:
         # no zero atom: the density is Im m, and Im(mc - m) is not negligible
         mc = mc - (1 - 1 / p.c) / (grid + 1j * eta)
-    values = mc.imag / math.pi
-    worst = values.min()
-    if worst < -_NEGATIVE_DENSITY_TOL:
-        raise NumericError(
-            f"density {worst:.3e} at x = {grid[int(values.argmin())]:.6g} is too "
-            "negative for round-off; likely branch mis-selection"
-        )
-    np.clip(values, 0.0, None, out=values)
-    return SpectralDensity(grid=grid, values=values, zero_mass=p.zero_mass, eta=eta)
+    return SpectralDensity(grid=grid, values=mc.imag / math.pi, zero_mass=p.zero_mass, eta=eta)
 
 
 def default_grid(p: FmcProblem, points: int) -> np.ndarray:

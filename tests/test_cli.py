@@ -168,6 +168,36 @@ def test_bad_out_fails_before_any_computation(capsys, monkeypatch):
     assert err.startswith("isoedf: invalid input: ")
 
 
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    # whether a huge allocation is refused depends on the host, so raise it here
+    def no_memory(mc):
+        raise MemoryError("Unable to allocate 8.73 TiB")
+
+    monkeypatch.setattr("isoedf.cli.run_mc", no_memory)
+    code, out, err = run_cli(capsys, "simulate", "--n", 12, "--snapshots", 10**11, "--trials", 1)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("isoedf: out of memory: ") and "8.73 TiB" in err
+
+
+def test_numeric_failure_prints_one_stderr_line():
+    # a subprocess, because pytest captures the warnings a solver might emit;
+    # at c = 1e-6 rounding puts some residual above the 1e-10 bound
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "51", "--c", "1e-6",
+         "--grid-points", "200"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(b"isoedf: numeric failure: ")
+
+
 def raw_rows(text):
     """Data rows of a `#`-headed CSV output as lists of field strings."""
     return [line.split(",") for line in text.splitlines()[2:]]

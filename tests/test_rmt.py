@@ -17,6 +17,7 @@ from isoedf import (
     polynomial_coefficients,
     predict_edf,
     stieltjes_at,
+    stieltjes_by_enumeration,
 )
 
 
@@ -290,35 +291,6 @@ class TestGridSolverAgainstPolynomial:
 
 
 class TestCompanionFallback:
-    def test_missed_continuation_is_recovered_by_companion_roots(self, monkeypatch):
-        import isoedf.rmt as rmt
-
-        p = unit_atom(0.5)
-        grid = default_grid(p, 300)
-        reference = density_curve(p, grid).values
-        calls = []
-        real_roots, real_continue = rmt.poly_roots, rmt._continue
-
-        def counting_roots(coeffs):
-            calls.append(coeffs)
-            return real_roots(coeffs)
-
-        def missing_continue(*args):
-            mc = real_continue(*args)
-            mc[::7] += 0.3  # off the root, still in the upper half plane
-            return mc
-
-        monkeypatch.setattr(rmt, "poly_roots", counting_roots)
-        monkeypatch.setattr(rmt, "_continue", missing_continue)
-        d = density_curve(p, grid)
-        assert len(calls) == len(grid[::7])
-        params = MpParams(c=0.5)
-        a, b = params.support
-        away = (np.abs(grid - a) >= 0.05) & (np.abs(grid - b) >= 0.05)
-        mp = np.array([mp_density(x, params) for x in grid])
-        assert np.max(np.abs(d.values - mp)[away]) <= 1e-4
-        np.testing.assert_allclose(d.values, reference, rtol=0, atol=1e-12)
-
     def test_no_admissible_root_raises_solver_error(self, monkeypatch):
         import isoedf.rmt as rmt
         from isoedf import SolverError
@@ -326,13 +298,17 @@ class TestCompanionFallback:
         real_continue = rmt._continue
         monkeypatch.setattr(rmt, "_continue", lambda *args: real_continue(*args) + 0.3)
         monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
-        with pytest.raises(SolverError):
-            density_curve(unit_atom(0.5), default_grid(unit_atom(0.5), 32))
+        grid = default_grid(unit_atom(0.5), 32)
+        with pytest.raises(SolverError) as err:
+            density_curve(unit_atom(0.5), grid)
+        assert err.value.z == complex(grid[0], 1e-6)
+        assert err.value.residual > rmt._RESIDUAL_TOL
 
 
 class TestBranchSelection:
     def test_warm_start_near_the_wrong_branch_is_rejected(self, monkeypatch):
         import isoedf.rmt as rmt
+        from isoedf import SolverError
 
         # for c > 1, G(mc) also has a root with Im m > 0 but Im mc < 0;
         # Newton started near it at z itself lands on it
@@ -353,10 +329,13 @@ class TestBranchSelection:
             return wrong[-1].copy()
 
         monkeypatch.setattr(rmt, "_continue", wrong_branch)
-        warm = stieltjes_at(p, z)
+        with pytest.raises(SolverError) as err:
+            stieltjes_at(p, z)
         assert wrong[0][0].imag < 0
+        # the residual passes: Im mc <= 0 alone rejects the wrong root
+        assert err.value.residual <= 1e-10
         assert cold == pytest.approx(-12.042 + 0.471j, abs=1e-3)
-        assert warm == pytest.approx(cold, abs=1e-9)
+        assert stieltjes_by_enumeration(p, z) == pytest.approx(cold, abs=1e-12)
 
     def test_companion_roots_have_one_herglotz_root_near_clustered_poles(self):
         from isoedf import poly_roots
@@ -458,6 +437,75 @@ class TestContinuationSchedule:
             (m,) = [r for r in poly_roots(polynomial_coefficients(p, z)) if (r + z0 / z).imag > 0]
             expected = (m + p.zero_mass / z).imag / math.pi
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
+
+
+def support_edges(p):
+    """Support edges: z(u) at the real critical points of
+    z(u) = -1/u + c sum_i w_i t_i / (1 + t_i u), u the companion transform
+    (Silverstein & Choi, J. Multivariate Anal. 54, 1995).
+
+    The sign changes of z'(u) are bracketed on a Chebyshev-spaced sample of
+    each piece of the real line between the poles -1/t_i and 0, then bisected.
+    """
+    t, w, c = p.measure.locations, p.measure.weights, p.c
+
+    def dz(u):
+        return 1 / u**2 - c * (w * t**2 / (1 + np.multiply.outer(u, t)) ** 2).sum(axis=-1)
+
+    poles = np.unique(np.append(-1 / t[t > 0], 0.0))
+    s = (1 - np.cos(np.linspace(0, math.pi, 4001)[1:-1])) / 2
+    pieces = [poles[0] / (1 - s), s / (1 - s)]
+    pieces += [a + (b - a) * s for a, b in zip(poles, poles[1:])]
+    lo, hi = [], []
+    for u in pieces:
+        up = dz(u) > 0
+        k = np.flatnonzero(up[:-1] != up[1:])
+        lo.append(u[k])
+        hi.append(u[k + 1])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    up = dz(lo) > 0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        same = (dz(mid) > 0) == up
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    u = (lo + hi) / 2
+    return np.sort(-1 / u + c * (w * t / (1 + np.multiply.outer(u, t))).sum(axis=-1))
+
+
+class TestSupportEdges:
+    """Grid points on the exact support edges, where the density has a square-root onset."""
+
+    @staticmethod
+    def check_edges(p, edges):
+        offsets = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+        grid = np.unique(np.outer(edges, 1 + offsets))
+        z0 = 1 - 1 / p.c
+        for eta in (1e-6, 1e-9):
+            d = density_curve(p, grid, eta)
+            ref = [stieltjes_by_enumeration(p, complex(x, eta)) for x in grid]
+            if p.c > 1:  # the samples are Im mc/pi, without the zero atom's pole
+                ref = [m + z0 / complex(x, eta) for m, x in zip(ref, grid)]
+            atol = 1e-10 * max(1.0, d.values.max())
+            np.testing.assert_allclose(d.values, np.imag(ref) / math.pi, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("c", [0.01, 0.25, 1.0, 1.5, 100.0])
+    def test_single_atom(self, c):
+        # edges (1 -+ sqrt(c))^2; at c = 1 the lower one is the origin, off the grid
+        edges = support_edges(unit_atom(c))
+        expected = [(1 - math.sqrt(c)) ** 2] * (c != 1) + [(1 + math.sqrt(c)) ** 2]
+        np.testing.assert_allclose(edges, expected, rtol=1e-12)
+        self.check_edges(unit_atom(c), edges)
+
+    @pytest.mark.parametrize("n, c, mode", [(51, 0.25, "reduced"), (51, 1.5, "reduced"), (12, 0.5, "full")])
+    def test_ensemble_measures(self, n, c, mode):
+        from isoedf import ArrayNoiseConfig, classify, ensemble_spectrum, full_measure, reduce
+
+        spectrum = ensemble_spectrum(ArrayNoiseConfig(n=n))
+        measure = reduce(classify(spectrum, c)) if mode == "reduced" else full_measure(spectrum)
+        p = FmcProblem(measure=measure, c=c)
+        edges = support_edges(p)
+        assert len(edges) >= 2
+        self.check_edges(p, edges)
 
 
 @pytest.mark.parametrize("eta", [math.inf, math.nan])
