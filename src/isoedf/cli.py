@@ -105,7 +105,9 @@ def _cmd_simulate(args, parser, out):
     mc_cfg = McConfig(
         cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins
     )
+    start = time.perf_counter()
     emp = run_mc(mc_cfg)
+    wall_ms = (time.perf_counter() - start) * 1e3
     header = {
         "n": args.n,
         "zeta": args.zeta,
@@ -115,6 +117,7 @@ def _cmd_simulate(args, parser, out):
         "bins": args.bins,
         "c": mc_cfg.c,
         "zero_count": emp.zero_count,
+        "wall_ms": round(wall_ms, 3),
     }
     if args.format == "pooled":
         columns = "trial,index,g"

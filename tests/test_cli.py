@@ -135,6 +135,7 @@ def test_closed_pipe_exits_quietly():
         ["simulate", "--n", 12, "--snapshots", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--trials", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--bins", 0],
+        ["simulate", "--n", 12, "--c", 0.5, "--seed", -1],
         ["predict", "--n", 12, "--c", 0.5, "--eta", 0],
         ["predict", "--n", 12, "--c", 0.5, "--eta", "inf", "--grid-points", 32],
         ["eigvals", "--n", 12, "--zeta", "inf"],
@@ -217,6 +218,11 @@ def test_pooled_rows(capsys):
         capsys, "simulate", "--n", 12, "--snapshots", 24, "--trials", 3, "--seed", 5
     )
     assert code == 0
+    header = json.loads(out.splitlines()[0][2:])
+    assert set(header) == {
+        "n", "zeta", "snapshots", "trials", "seed", "bins", "c", "zero_count", "wall_ms"
+    }
+    assert header["seed"] == 5 and header["c"] == 0.5 and header["wall_ms"] > 0
     rows = raw_rows(out)
     assert [r[0] for r in rows] == [str(t) for t in range(3) for _ in range(12)]
     assert [r[1] for r in rows] == [str(i) for _ in range(3) for i in range(1, 13)]

@@ -151,6 +151,17 @@ class TestRunMc:
         with pytest.raises(ValueError):
             McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=4, trials=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 3.0, -1, 2**64, 2**64 + 3, "7"])
+    def test_rejects_a_seed_outside_the_philox_key_range(self, seed):
+        # make_stream keys by the seed mod 2**64: -1 and 2**64 - 1 gave the same trials
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=4, trials=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(3)])
+    def test_accepts_integer_seeds_in_the_philox_key_range(self, seed):
+        mc = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=4, trials=1, seed=seed)
+        assert mc.seed == seed
+
     def test_ks_decreases_with_trials(self, cfg51):
         # pooled spectra converge toward the all-atom prediction
         problem = FmcProblem(measure=full_measure_from51(cfg51), c=0.25)
