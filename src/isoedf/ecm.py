@@ -18,6 +18,12 @@ from .linalg import sym_eigenvalues
 from .specfun import bessel_j0
 
 
+def check_int(name: str, v, lo: int, hi: float = math.inf) -> None:
+    """Raise ValueError unless v is a Python or NumPy integer with lo <= v < hi."""
+    if not (isinstance(v, (int, np.integer)) and lo <= v < hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {v!r}")
+
+
 @dataclass(frozen=True)
 class ArrayNoiseConfig:
     """Uniform line array in an azimuthally isotropic noise field.
@@ -29,8 +35,7 @@ class ArrayNoiseConfig:
     zeta: float = 0.5
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError(f"sensor count n must be an integer >= 2, got {self.n}")
+        check_int("sensor count n", self.n, 2)
         if not (self.zeta > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"zeta must be > 0 with alpha = 2 pi zeta finite, got {self.zeta}")
 

@@ -2,7 +2,8 @@
 
 Thin contract layer over LAPACK (via numpy): input validation, ordering
 and tolerance conventions live here so callers never touch numpy.linalg
-directly.
+directly.  Every matrix passes one gate, `_square`, and every LAPACK call
+goes through `_lapack`, which raises NumericError where LAPACK fails.
 """
 
 from __future__ import annotations
@@ -16,20 +17,30 @@ class NumericError(RuntimeError):
     """An iterative kernel failed to converge."""
 
 
-def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, sorted descending."""
-    a = np.asarray(a, dtype=float)
+def _square(a, dtype) -> np.ndarray:
+    """a as a finite, square, at least 1 x 1 array of dtype, else ValueError."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    return a
+
+
+def _lapack(solver, a: np.ndarray, what: str):
+    """solver(a), with a LAPACK failure raised as NumericError naming `what`."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"{what} failed: {e}") from e
+
+
+def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix, sorted descending."""
+    a = _square(a, float)
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"symmetric eigensolver failed: {e}") from e
-    return vals[::-1].copy()
+    return _lapack(np.linalg.eigvalsh, a, "symmetric eigensolver")[::-1].copy()
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -38,19 +49,10 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     Rejects inputs whose Hermitian defect exceeds 1e-10 relative to the
     Frobenius norm.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(scale, np.finfo(float).tiny):
+    a = _square(a, complex)
+    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(np.linalg.norm(a), np.finfo(float).tiny):
         raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"Hermitian eigensolver failed: {e}") from e
-    return vals[::-1].copy()
+    return _lapack(np.linalg.eigvalsh, a, "Hermitian eigensolver")[::-1].copy()
 
 
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -59,15 +61,10 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-10 * lambda_max, 0) are treated as round-off and
     clamped to zero; anything more negative raises.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = _square(a, float)
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"symmetric eigensolver failed: {e}") from e
+    vals, vecs = _lapack(np.linalg.eigh, a, "symmetric eigensolver")
     lam_max = max(vals[-1], 0.0)
     if vals[0] < -1e-10 * lam_max:
         raise ValueError(
@@ -104,10 +101,7 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     comp = np.zeros((d, d), dtype=complex)
     comp[0, :] = -monic[d - 1 :: -1]
     comp[1:, :-1] = np.eye(d - 1)
-    try:
-        roots = np.linalg.eigvals(comp)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"companion QR failed for degree {d}: {e}") from e
+    roots = _lapack(np.linalg.eigvals, _square(comp, complex), f"companion QR for degree {d}")
     return _polish_roots(monic[::-1], roots)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecm import ArrayNoiseConfig, build_ecm
+from .ecm import ArrayNoiseConfig, build_ecm, check_int
 from .linalg import hermitian_eigenvalues, sqrt_psd
 
 _ZERO_CLAMP_REL = 1e-9
@@ -38,12 +38,8 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("snapshots", "trials", "bins"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        # make_stream keys Philox with the seed mod 2**64, so -1 would alias 2**64 - 1
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0, 2**64)
 
     @property
     def c(self) -> float:
@@ -51,8 +47,10 @@ class McConfig:
 
 
 def make_stream(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based stream for one trial; (seed, trial) is the Philox key."""
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(trial)], dtype=np.uint64)
+    """Philox stream for one trial keyed by (seed, trial); raises outside [0, 2**64)."""
+    check_int("seed", seed, 0, 2**64)
+    check_int("trial", trial, 0, 2**64)
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -70,8 +68,8 @@ class TrialWorkspace:
     """
 
     def __init__(self, n: int, l: int):
-        if n < 1 or l < 1:
-            raise ValueError("matrix dimensions must be positive")
+        check_int("n", n, 1)
+        check_int("l", l, 1)
         self.shape = (n, l)
         self.uniforms = np.empty((2, n, l))  # u1, u2; then the quarter turns
         self.quarters = np.empty((n, l))  # q; then 1 + sin

@@ -266,7 +266,10 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Sampled continuous density plus the mass of the point mass at zero."""
+    """Sampled continuous density plus the mass of the point mass at zero.
+
+    Takes finite grid and values as any matching 1-D sequences; stores float arrays.
+    """
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -278,12 +281,14 @@ class SpectralDensity:
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly ascending")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
+        if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
+            raise ValueError("grid must be finite and strictly ascending")
+        if not (np.isfinite(values).all() and np.all(values >= 0)):
+            raise ValueError("density values must be finite and nonnegative")
         if not 0 <= self.zero_mass < 1:
             raise ValueError(f"zero_mass must lie in [0, 1), got {self.zero_mass}")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
 
     @property
     def trapezoid_mass(self) -> float:

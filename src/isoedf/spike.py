@@ -19,7 +19,10 @@ from .ecm import EnsembleSpectrum
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Discrete probability measure: ((location, weight), ...) ascending."""
+    """Discrete probability measure ((location, weight), ...), stored as given.
+
+    Locations must be finite, >= 0 and strictly increasing; weights in (0, 1] sum to 1.
+    """
 
     atoms: tuple[tuple[float, float], ...]
     kind: str
@@ -31,8 +34,8 @@ class AtomicMeasure:
             raise ValueError("measure must have at least one atom")
         locs = [t for t, _ in self.atoms]
         weights = [w for _, w in self.atoms]
-        if any(t < 0 for t in locs):
-            raise ValueError("atom locations must be >= 0")
+        if any(not 0 <= t < math.inf for t in locs):
+            raise ValueError("atom locations must be finite and >= 0")
         if any(np.diff(locs) <= 0):
             raise ValueError("atom locations must be strictly increasing")
         if any(not 0 < w <= 1 for w in weights):
@@ -54,8 +57,8 @@ class AtomicMeasure:
 
 
 def _canonical(pairs, kind: str, merge_tol: float = 0.0) -> AtomicMeasure:
-    """Sort ascending, merge coincident locations, drop zero weights."""
-    pairs = sorted((float(t), float(w)) for t, w in pairs if w != 0.0)
+    """Sort ascending and merge locations that lie within merge_tol."""
+    pairs = sorted((float(t), float(w)) for t, w in pairs)
     merged: list[list[float]] = []
     for t, w in pairs:
         if merged and t - merged[-1][0] <= merge_tol:
@@ -88,8 +91,6 @@ def classify(spectrum: EnsembleSpectrum, c: float) -> SpikeClassification:
     if not 0 < c < math.inf:
         raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
     values = spectrum.values
-    if len(values) == 0:
-        raise ValueError("spectrum is empty")
     g_n = float(values[-1])
     if g_n <= 0:
         raise ValueError(f"degenerate spectrum: gamma_N = {g_n} must be > 0")
@@ -100,7 +101,6 @@ def classify(spectrum: EnsembleSpectrum, c: float) -> SpikeClassification:
     rest = values[len(gamma_dist) :]
     n_mid = int(np.count_nonzero(rest > t_low))
     n_low = len(rest) - n_mid
-    assert len(gamma_dist) + n_mid + n_low == len(values)
     return SpikeClassification(
         gamma_dist=gamma_dist,
         n_mid=n_mid,
@@ -131,8 +131,6 @@ def reduce(cls: SpikeClassification) -> AtomicMeasure:
 def full_measure(spectrum: EnsembleSpectrum) -> AtomicMeasure:
     """All N eigenvalues with mass 1/N each; coincident ones merge."""
     values = spectrum.values
-    if len(values) == 0:
-        raise ValueError("spectrum is empty")
     n = len(values)
     tol = 1e-10 * float(values[0])
     return _canonical(((float(g), 1.0 / n) for g in values), kind="full", merge_tol=tol)

@@ -19,7 +19,9 @@ class TestConfig:
     def test_alpha(self):
         assert ArrayNoiseConfig(n=4, zeta=0.5).alpha == pytest.approx(math.pi)
 
-    @pytest.mark.parametrize("kwargs", [{"n": 1}, {"n": 2, "zeta": 0.0}, {"n": 2, "zeta": -1.0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"n": 1}, {"n": 2, "zeta": 0.0}, {"n": 2, "zeta": -1.0}, {"n": 12.0}]
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ArrayNoiseConfig(**kwargs)
@@ -97,6 +99,11 @@ class TestEnsembleSpectrum:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             EnsembleSpectrum(values=np.array([1.0, 2.0]), n=2)
+
+    def test_rejects_empty(self):
+        # classify and full_measure read values[-1] and values[0] on this guarantee
+        with pytest.raises(ValueError):
+            EnsembleSpectrum(values=np.array([]), n=0)
 
 
 def _ks_two_empirical(a, b):

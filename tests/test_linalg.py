@@ -102,6 +102,14 @@ class TestSqrtPsd:
         with pytest.raises(ValueError):
             sqrt_psd(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize(
+        "a", [np.zeros((0, 0)), np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])]
+    )
+    def test_rejects_empty_and_nonfinite(self, a):
+        # an empty matrix used to raise IndexError, an inf entry to give an all-NaN root
+        with pytest.raises(ValueError):
+            sqrt_psd(a)
+
 
 def assert_multisets_close(got, expected, tol):
     got = list(np.asarray(got, dtype=complex))

@@ -39,6 +39,16 @@ class TestGaussianSnapshots:
         b = gaussian_snapshots(16, 8, make_stream(5, 1))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,trial", [(-1, 0), (2**64, 0), (1.5, 0), (0, 1.5)])
+    def test_stream_rejects_keys_outside_the_philox_range(self, seed, trial):
+        # the key used to wrap mod 2**64: -1 gave seed 2**64 - 1's stream, 1.5 trial 1's
+        with pytest.raises(ValueError):
+            make_stream(seed, trial)
+
+    def test_numpy_integer_keys_give_the_python_int_stream(self):
+        a = make_stream(np.uint64(5), np.int64(3)).random(4)
+        np.testing.assert_array_equal(a, make_stream(5, 3).random(4))
+
     def test_matches_the_complex_exp_form(self):
         # radius * exp(2 pi i u2), the form the cos/sin kernel replaces
         for trial in range(4):
@@ -150,6 +160,11 @@ class TestRunMc:
             McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=0, trials=1)
         with pytest.raises(ValueError):
             McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=4, trials=-1)
+        # integral floats used to pass here and fail later inside numpy with TypeError
+        for bad in ({"snapshots": 24.0}, {"trials": 2.0}, {"bins": 75.0}):
+            kwargs = {"snapshots": 24, "trials": 2, "bins": 75, **bad}
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                McConfig(cfg=ArrayNoiseConfig(n=12, zeta=0.5), **kwargs)
 
     @pytest.mark.parametrize("seed", [1.5, 3.0, -1, 2**64, 2**64 + 3, "7"])
     def test_rejects_a_seed_outside_the_philox_key_range(self, seed):

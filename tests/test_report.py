@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from isoedf import model_cdf, predict_edf
+from isoedf import (
+    ArrayNoiseConfig,
+    McConfig,
+    SpectralDensity,
+    compare,
+    model_cdf,
+    predict_edf,
+    run_mc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,3 +37,24 @@ class TestModelCdf:
 
     def test_scalar_input_returns_float(self, density15):
         assert type(model_cdf(density15, 1.0)) is float
+
+
+def test_density_built_from_lists_matches_one_built_from_arrays():
+    # the lists used to be stored as given, and model_cdf raised TypeError on them
+    d = predict_edf(ArrayNoiseConfig(n=12), 0.5, points=64).density
+    listed = SpectralDensity(list(d.grid), list(d.values), d.zero_mass, d.eta)
+    xs = np.linspace(-0.5, 1.2 * d.grid[-1], 41)
+    np.testing.assert_array_equal(model_cdf(listed, xs), model_cdf(d, xs))
+    emp = run_mc(McConfig(ArrayNoiseConfig(n=12), snapshots=24, trials=4, seed=2))
+    assert compare(listed, emp) == compare(d, emp)
+
+
+@pytest.mark.parametrize(
+    "grid,values",
+    [([0.0, 1.0], [np.nan, 1.0]), ([0.0, 1.0], [np.inf, 1.0]), ([np.nan, 1.0], [1.0, 1.0]),
+     ([0.0, np.inf], [1.0, 1.0])],
+)
+def test_density_rejects_non_finite_samples(grid, values):
+    # NaN used to pass both the ascending and the nonnegative test
+    with pytest.raises(ValueError, match="finite"):
+        SpectralDensity(grid, values, 0.0, 1e-6)

@@ -158,6 +158,11 @@ class TestAtomicMeasureInvariants:
         with pytest.raises(ValueError):
             AtomicMeasure(atoms=((2.0, 0.5), (1.0, 0.5)), kind="full")
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_locations_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(atoms=((1.0, 0.5), (t, 0.5)), kind="full")
+
     def test_no_zero_weights(self):
         with pytest.raises(ValueError):
             AtomicMeasure(atoms=((1.0, 0.0), (2.0, 1.0)), kind="full")
