@@ -8,6 +8,7 @@ ones; the Szego symbol F(w) = 2/sqrt(alpha^2 - w^2) describes the limit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +29,8 @@ def check_int(name: str, v, lo: int, hi: float = math.inf) -> None:
 class ArrayNoiseConfig:
     """Uniform line array in an azimuthally isotropic noise field.
 
-    n: sensor count, zeta: sensor spacing over wavelength.
+    n: sensor count, zeta: sensor spacing over wavelength, kept as a
+    Python float so that equal arrays hash equal (the spectrum cache key).
     """
 
     n: int
@@ -36,8 +38,11 @@ class ArrayNoiseConfig:
 
     def __post_init__(self):
         check_int("sensor count n", self.n, 2)
+        if np.ndim(self.zeta) != 0:
+            raise ValueError(f"zeta must be a scalar, got {self.zeta!r}")
         if not (self.zeta > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"zeta must be > 0 with alpha = 2 pi zeta finite, got {self.zeta}")
+        object.__setattr__(self, "zeta", float(self.zeta))
 
     @property
     def alpha(self) -> float:
@@ -63,7 +68,9 @@ class EnsembleSpectrum:
                 f"negative eigenvalue {values[-1]:.3e} beyond round-off tolerance"
             )
         # tiny negatives are round-off from the near-singular Toeplitz family
-        object.__setattr__(self, "values", np.clip(values, 0.0, None))
+        values = np.clip(values, 0.0, None)
+        values.flags.writeable = False  # cached spectra are shared between callers
+        object.__setattr__(self, "values", values)
 
     @property
     def gamma_1(self) -> float:
@@ -91,8 +98,20 @@ def build_ecm(cfg: ArrayNoiseConfig) -> np.ndarray:
     return _toeplitz(_j0_row(cfg)).copy()
 
 
+# A sweep over c, L or mode reuses one array, and a figure draws a few; an
+# entry is 8 N bytes (8 KB at N = 1024), so 16 arrays stay well under 1 MB
+# up to N = 4096 while the cache cannot grow with a long-lived process.
+SPECTRUM_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
     """Descending spectrum of the ensemble covariance, from two half-size solves.
+
+    Results are cached per array (n, zeta), for the last
+    SPECTRUM_CACHE_SIZE arrays asked for: every caller with an equal config
+    shares one spectrum, whose values are read-only.  `cache_clear()` drops
+    them all.
 
     A symmetric Toeplitz matrix T is centrosymmetric, so its even and odd
     eigenvectors decouple (Cantoni & Butler, Linear Algebra Appl. 13,

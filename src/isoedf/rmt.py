@@ -352,7 +352,11 @@ def default_grid(p: FmcProblem, points: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EdfPrediction:
-    """Predicted density plus provenance of the run."""
+    """Predicted density plus provenance of the run.
+
+    `wall_ms` covers the whole call; it includes the eigensolve only when
+    the array's spectrum was not already cached by `ensemble_spectrum`.
+    """
 
     density: SpectralDensity
     atom_count: int

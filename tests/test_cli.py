@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isoedf import ArrayNoiseConfig, McConfig, compare, ensemble_spectrum, predict_edf, run_mc
+from isoedf import (
+    ArrayNoiseConfig,
+    McConfig,
+    SolverError,
+    compare,
+    ensemble_spectrum,
+    predict_edf,
+    run_mc,
+)
 from isoedf.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -197,6 +205,19 @@ def test_numeric_failure_prints_one_stderr_line():
     assert proc.stdout == b""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(b"isoedf: numeric failure: ")
+
+
+def test_solver_error_exits_1_with_one_line(capsys, monkeypatch):
+    # an exit-1 path that does not depend on which inputs the solver misses
+    def no_root(*args, **kwargs):
+        raise SolverError(0.5 + 1e-6j, 3e-10)
+
+    monkeypatch.setattr("isoedf.cli.predict_edf", no_root)
+    code, out, err = run_cli(capsys, "predict", "--n", 12, "--c", 0.5, "--grid-points", 64)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("isoedf: numeric failure: ")
 
 
 def raw_rows(text):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import isoedf.ecm
 from isoedf import (
     ArrayNoiseConfig,
     EnsembleSpectrum,
     bessel_j0,
     build_ecm,
     ensemble_spectrum,
+    predict_edf,
     sym_eigenvalues,
     szego_density,
 )
@@ -31,6 +33,20 @@ class TestConfig:
         # 2 pi 1e308 overflows to inf, so a finite zeta can still be refused
         with pytest.raises(ValueError, match="finite"):
             ArrayNoiseConfig(n=12, zeta=zeta)
+
+    @pytest.mark.parametrize(
+        "zeta,expected", [(np.array(0.5), 0.5), (np.float64(0.5), 0.5), (1, 1.0)]
+    )
+    def test_zeta_is_kept_as_a_float(self, zeta, expected):
+        # the config keys the spectrum cache, so it must hash like the float one
+        cfg = ArrayNoiseConfig(n=51, zeta=zeta)
+        assert type(cfg.zeta) is float
+        assert cfg == ArrayNoiseConfig(n=51, zeta=expected)
+        assert hash(cfg) == hash(ArrayNoiseConfig(n=51, zeta=expected))
+
+    def test_rejects_non_scalar_zeta(self):
+        with pytest.raises(ValueError, match="scalar"):
+            ArrayNoiseConfig(n=51, zeta=np.array([0.5]))
 
 
 class TestBuildEcm:
@@ -104,6 +120,48 @@ class TestEnsembleSpectrum:
         # classify and full_measure read values[-1] and values[0] on this guarantee
         with pytest.raises(ValueError):
             EnsembleSpectrum(values=np.array([]), n=0)
+
+
+class TestSpectrumCache:
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        ensemble_spectrum.cache_clear()
+
+    def test_c_sweep_solves_each_array_once(self, monkeypatch):
+        # one even and one odd half-size solve, shared by all six predictions
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return sym_eigenvalues(a)
+
+        monkeypatch.setattr(isoedf.ecm, "sym_eigenvalues", counted)
+        cfg = ArrayNoiseConfig(n=51)
+        for c in (0.25, 1.0, 1.5):
+            for mode in ("reduced", "full"):
+                predict_edf(cfg, c, mode=mode, points=200)
+        assert sorted(calls) == [(25, 25), (26, 26)]
+
+    def test_equal_configs_share_one_spectrum(self):
+        spectrum = ensemble_spectrum(ArrayNoiseConfig(51))
+        assert ensemble_spectrum(ArrayNoiseConfig(np.int64(51), 0.5)) is spectrum
+        assert ensemble_spectrum(ArrayNoiseConfig(51, 0.6)) is not spectrum
+
+    def test_cached_spectrum_equals_a_fresh_solve(self):
+        cfg = ArrayNoiseConfig(51)
+        cached = ensemble_spectrum(cfg)
+        ensemble_spectrum.cache_clear()
+        fresh = ensemble_spectrum(cfg)
+        assert fresh is not cached
+        assert np.array_equal(fresh.values, cached.values)
+
+    def test_values_are_read_only(self):
+        spectrum = ensemble_spectrum(ArrayNoiseConfig(51))
+        with pytest.raises(ValueError):
+            spectrum.values[0] = 1
+
+    def test_cache_is_bounded(self):
+        assert ensemble_spectrum.cache_info().maxsize == isoedf.ecm.SPECTRUM_CACHE_SIZE
 
 
 def _ks_two_empirical(a, b):
