@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from contextlib import nullcontext
 
-from .ecm import ArrayNoiseConfig, ensemble_spectrum
+from .ecm import ArrayNoiseConfig, check_int, ensemble_spectrum
 from .linalg import NumericError
 from .mc import McConfig, run_mc
 from .report import compare
 from .rmt import FmcProblem, SolverError, default_grid, density_curve, predict_edf
+from .specfun import check_ratio
 from .spike import classify, full_measure, reduce
 
 
@@ -51,11 +51,9 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
     if args.c is None and args.snapshots is None:
         parser.error("one of --c or --snapshots is required")
     if args.c is None:
-        if not args.snapshots > 0:
-            raise ValueError(f"snapshots must be a positive integer, got {args.snapshots}")
+        check_int("snapshots", args.snapshots, 1)
         return args.n / args.snapshots, args.snapshots
-    if not 0 < args.c < math.inf:
-        raise ValueError(f"aspect ratio c must be finite and > 0, got {args.c}")
+    check_ratio(args.c)
     snapshots = round(args.n / args.c)
     if args.snapshots is not None and args.snapshots != snapshots:
         parser.error(

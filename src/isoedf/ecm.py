@@ -52,15 +52,14 @@ class ArrayNoiseConfig:
 
 @dataclass(frozen=True)
 class EnsembleSpectrum:
-    """Eigenvalues of the ensemble covariance, descending."""
+    """Eigenvalues of the ensemble covariance, descending; n is their count."""
 
     values: np.ndarray = field(repr=False)
-    n: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or len(values) != self.n or self.n < 1:
-            raise ValueError("values must be a length-n vector")
+        if values.ndim != 1 or len(values) < 1:
+            raise ValueError("values must be a non-empty vector")
         if np.any(np.diff(values) > 0):
             raise ValueError("eigenvalues must be sorted descending")
         if values[0] > 0 and values[-1] < -1e-10 * values[0]:
@@ -73,8 +72,8 @@ class EnsembleSpectrum:
         object.__setattr__(self, "values", values)
 
     @property
-    def gamma_1(self) -> float:
-        return float(self.values[0])
+    def n(self) -> int:
+        return len(self.values)
 
     @property
     def gamma_n(self) -> float:
@@ -132,7 +131,7 @@ def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
         border = math.sqrt(2) * row[m:0:-1, None]
         even = np.block([[even, border], [border.T, row[:1, None]]])
     values = np.concatenate([sym_eigenvalues(even), sym_eigenvalues(a - jb)])
-    return EnsembleSpectrum(values=np.sort(values)[::-1], n=n)
+    return EnsembleSpectrum(values=np.sort(values)[::-1])
 
 
 def szego_density(omega: float, cfg: ArrayNoiseConfig) -> float:

@@ -85,17 +85,16 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     Each eigenvalue is then refined by Newton steps on the polynomial:
     near clustered roots the eigenvalues alone can be off by 1e-8
     relative, enough to give a root just below the real axis a positive
-    imaginary part.
+    imaginary part.  Coefficients must be finite, else ValueError.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    n = len(coeffs)
-    while n > 1 and coeffs[n - 1] == 0:
-        n -= 1
-    coeffs = coeffs[:n]
-    if n < 2:
+    if not np.isfinite(coeffs).all():
+        raise ValueError("polynomial coefficients must be finite")
+    coeffs = np.trim_zeros(coeffs, "b")  # drop zero leading coefficients
+    if len(coeffs) < 2:
         raise ValueError("polynomial degree must be at least 1")
     monic = coeffs / coeffs[-1]
-    d = n - 1
+    d = len(coeffs) - 1
     if d == 1:
         return np.array([-monic[0]])
     comp = np.zeros((d, d), dtype=complex)

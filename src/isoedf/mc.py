@@ -168,17 +168,20 @@ class EmpiricalSpectrum:
     """Pooled sample-covariance eigenvalues across trials.
 
     `pooled` is ascending with sub-clamp values snapped to exactly 0.0;
-    `per_trial` keeps the raw descending eigenvalues of each trial.  When
-    L < N the N - L rank-deficiency zeros of each trial are exactly 0.0,
-    since only the L x L Gram is solved.
+    `per_trial` keeps each trial's raw descending eigenvalues as one row,
+    and `trials` is its length.  When L < N the N - L rank-deficiency
+    zeros of each trial are exactly 0.0, since only the L x L Gram is solved.
     """
 
     pooled: np.ndarray = field(repr=False)
-    trials: int
     zero_count: int
     hist_edges: np.ndarray = field(repr=False)
     hist_heights: np.ndarray = field(repr=False)
     per_trial: np.ndarray = field(repr=False)
+
+    @property
+    def trials(self) -> int:
+        return len(self.per_trial)
 
     @property
     def zero_fraction(self) -> float:
@@ -190,19 +193,15 @@ class EmpiricalSpectrum:
 
 
 def _worker_count(trials: int) -> int:
-    """Threads for run_mc: ISO_EDF_THREADS (<= 0 means one per CPU), default 1.
+    """Threads for run_mc: ISO_EDF_THREADS, a positive integer, default 1.
 
     One thread is the default: at N = 51 on two CPUs, one thread ran
     2 x 500 trials (L = 204 and 34) in 0.75 s and two threads in 1.28 s.
     """
     raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        requested = int(raw)
-    except ValueError as e:
-        raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from e
-    if requested <= 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, trials))
+    requested = int(raw) if raw.isdecimal() else raw
+    check_int(_THREADS_ENV, requested, 1)
+    return min(requested, trials)
 
 
 def run_mc(mc: McConfig) -> EmpiricalSpectrum:
@@ -246,7 +245,6 @@ def run_mc(mc: McConfig) -> EmpiricalSpectrum:
     heights = counts / (len(pooled) * np.diff(edges))
     return EmpiricalSpectrum(
         pooled=pooled,
-        trials=mc.trials,
         zero_count=zero_count,
         hist_edges=edges,
         hist_heights=heights,

@@ -59,12 +59,11 @@ def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     pooled = emp.pooled
     if len(pooled) == 0:
         raise ValueError("empirical spectrum is empty")
-    total_count = len(pooled)
     xs = np.unique(pooled)
     f_right = model_cdf(model, xs)
     f_left = np.where(xs == 0.0, 0.0, f_right)  # model_cdf is 0 below zero
-    e_right = np.searchsorted(pooled, xs, side="right") / total_count
-    e_left = np.searchsorted(pooled, xs, side="left") / total_count
+    e_right = emp.ecdf(xs)
+    e_left = np.searchsorted(pooled, xs, side="left") / len(pooled)
     ks = max(
         float(np.max(np.abs(f_right - e_right))),
         float(np.max(np.abs(f_left - e_left))),

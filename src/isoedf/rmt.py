@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecm import ArrayNoiseConfig, ensemble_spectrum
+from .ecm import ArrayNoiseConfig, check_int, ensemble_spectrum
 from .linalg import poly_roots
 from .spike import AtomicMeasure, classify, full_measure, reduce
-from .specfun import zero_atom_mass
+from .specfun import check_ratio, zero_atom_mass
 
 _RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
@@ -68,8 +68,7 @@ class FmcProblem:
     c: float
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"aspect ratio c must be finite and > 0, got {self.c}")
+        check_ratio(self.c)
 
     @property
     def zero_mass(self) -> float:
@@ -264,6 +263,15 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
     return complex(mc[ok][np.argmin(residual[ok])] - z0 / z)
 
 
+def _check_grid(grid) -> np.ndarray:
+    """grid as a float array; ValueError unless finite, strictly ascending, 1-D, >= 2 points."""
+    grid = np.asarray(grid, dtype=float)
+    ok = grid.ndim == 1 and len(grid) >= 2 and np.isfinite(grid).all()
+    if not (ok and np.all(np.diff(grid) > 0)):
+        raise ValueError("grid must be a finite, strictly ascending 1-D array of >= 2 points")
+    return grid
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Sampled continuous density plus the mass of the point mass at zero.
@@ -277,12 +285,10 @@ class SpectralDensity:
     eta: float
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid(self.grid)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
+        if values.shape != grid.shape:
             raise ValueError("grid and values must be matching 1-D arrays")
-        if not (np.isfinite(grid).all() and np.all(np.diff(grid) > 0)):
-            raise ValueError("grid must be finite and strictly ascending")
         if not (np.isfinite(values).all() and np.all(values >= 0)):
             raise ValueError("density values must be finite and nonnegative")
         if not 0 <= self.zero_mass < 1:
@@ -310,11 +316,7 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     SolverError; as mc holds m + (1 - 1/c)/z, rounding alone leaves a
     residual near 1e-16/(c |z|), which fails the 1e-10 bound below c ~ 3e-6.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a strictly ascending 1-D array")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("grid points must be finite")
+    grid = _check_grid(grid)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     if p.c >= 1 and grid[0] <= 0:
@@ -336,8 +338,7 @@ def default_grid(p: FmcProblem, points: int) -> np.ndarray:
     tolerance, so the points are graded as u^2 on [1e-6, hi].  Otherwise
     the grid is uniform from max(1e-4, 0.5 t_min (1-sqrt(c))^2 for c < 1).
     """
-    if points < 16:
-        raise ValueError(f"points must be >= 16, got {points}")
+    check_int("points", points, 16)
     rc = math.sqrt(p.c)
     locs = p.measure.locations
     t_min, t_max = float(locs[0]), float(locs[-1])

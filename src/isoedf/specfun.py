@@ -73,8 +73,9 @@ def bessel_j0(x):
 
     Power series up to |x| = 8 (cancellation is still mild there),
     Hankel asymptotic form with rational corrections beyond.  Absolute
-    error stays below 1e-13 out to |x| = 200.  A scalar gives a float,
-    an array an array of the same shape, evaluated in one pass.
+    error stays below 1e-13 where tested: on [0, 200], and at alpha k for
+    k < 4096 and zeta = 0.5 and 1 (the covariance row, out to 2.6e4).  A
+    scalar gives a float, an array an array of the same shape.
     """
     x = np.abs(np.asarray(x, dtype=float))
     if not np.isfinite(x).all():
@@ -95,6 +96,13 @@ def bessel_j0(x):
     return float(out) if out.ndim == 0 else out
 
 
+def check_ratio(c) -> None:
+    """Raise ValueError unless the aspect ratio c = N/L is finite and > 0;
+    every stage that takes c checks it here."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
+
+
 @dataclass(frozen=True)
 class MpParams:
     """Marchenko-Pastur parameters: aspect ratio c = N/L and background scale."""
@@ -103,8 +111,7 @@ class MpParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"aspect ratio c must be finite and > 0, got {self.c}")
+        check_ratio(self.c)
         if not (self.scale > 0):
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
@@ -134,6 +141,5 @@ def mp_density(x: float, p: MpParams) -> float:
 
 def zero_atom_mass(c: float) -> float:
     """Mass of the point mass at zero in the limiting law: max(0, 1 - 1/c)."""
-    if not 0 < c < math.inf:
-        raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
+    check_ratio(c)
     return max(0.0, 1.0 - 1.0 / c)

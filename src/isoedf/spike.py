@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecm import EnsembleSpectrum
+from .specfun import check_ratio
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,9 @@ def classify(spectrum: EnsembleSpectrum, c: float) -> SpikeClassification:
     background, exactly at t_high counts as mid band (distinct atoms
     require strict excess).
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
+    check_ratio(c)
     values = spectrum.values
-    g_n = float(values[-1])
+    g_n = spectrum.gamma_n
     if g_n <= 0:
         raise ValueError(f"degenerate spectrum: gamma_N = {g_n} must be > 0")
     rc = math.sqrt(c)
@@ -130,7 +130,6 @@ def reduce(cls: SpikeClassification) -> AtomicMeasure:
 
 def full_measure(spectrum: EnsembleSpectrum) -> AtomicMeasure:
     """All N eigenvalues with mass 1/N each; coincident ones merge."""
-    values = spectrum.values
-    n = len(values)
+    values, n = spectrum.values, spectrum.n
     tol = 1e-10 * float(values[0])
     return _canonical(((float(g), 1.0 / n) for g in values), kind="full", merge_tol=tol)

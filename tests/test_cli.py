@@ -220,6 +220,27 @@ def test_solver_error_exits_1_with_one_line(capsys, monkeypatch):
     assert err.startswith("isoedf: numeric failure: ")
 
 
+def test_lapack_failure_exits_1_with_one_line(capsys, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    ensemble_spectrum.cache_clear()  # a cached spectrum would skip the eigensolve
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    code, out, err = run_cli(capsys, "eigvals", "--n", 12)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "isoedf: numeric failure: symmetric eigensolver failed: Eigenvalues did not converge\n"
+    )
+
+
+def test_missing_aspect_ratio_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--n", "12"])
+    assert exc.value.code == 2
+    assert "one of --c or --snapshots is required" in capsys.readouterr().err
+
+
 def raw_rows(text):
     """Data rows of a `#`-headed CSV output as lists of field strings."""
     return [line.split(",") for line in text.splitlines()[2:]]

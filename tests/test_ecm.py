@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,12 +115,23 @@ class TestEnsembleSpectrum:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            EnsembleSpectrum(values=np.array([1.0, 2.0]), n=2)
+            EnsembleSpectrum(values=np.array([1.0, 2.0]))
 
     def test_rejects_empty(self):
         # classify and full_measure read values[-1] and values[0] on this guarantee
         with pytest.raises(ValueError):
-            EnsembleSpectrum(values=np.array([]), n=0)
+            EnsembleSpectrum(values=np.array([]))
+
+    def test_rejects_a_negative_eigenvalue_beyond_round_off(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            EnsembleSpectrum(values=np.array([1.0, -1e-9]))
+        # round-off below 1e-10 of the largest is clipped to zero
+        assert EnsembleSpectrum(values=np.array([1.0, -1e-11])).values[-1] == 0.0
+
+    def test_stores_only_the_values(self):
+        spectrum = EnsembleSpectrum(values=[3.0, 2.0, 1.0])
+        assert [f.name for f in dataclasses.fields(spectrum)] == ["values"]
+        assert spectrum.n == 3
 
 
 class TestSpectrumCache:

@@ -3,6 +3,7 @@ import pytest
 
 from isoedf import (
     ArrayNoiseConfig,
+    NumericError,
     build_ecm,
     hermitian_eigenvalues,
     poly_roots,
@@ -110,6 +111,19 @@ class TestSqrtPsd:
         with pytest.raises(ValueError):
             sqrt_psd(a)
 
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            sqrt_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_lapack_failure_raises_numeric_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericError, match="symmetric eigensolver failed: Eigenvalues"):
+        sym_eigenvalues(np.eye(3))
+
 
 def assert_multisets_close(got, expected, tol):
     got = list(np.asarray(got, dtype=complex))
@@ -122,6 +136,9 @@ def assert_multisets_close(got, expected, tol):
 
 
 class TestPolyRoots:
+    def test_linear(self):
+        assert_multisets_close(poly_roots([6.0, 2.0]), [-3.0], 0.0)
+
     def test_quadratic_real(self):
         assert_multisets_close(poly_roots([-1.0, 0.0, 1.0]), [1.0, -1.0], 1e-12)
 
@@ -159,3 +176,13 @@ class TestPolyRoots:
             poly_roots([3.0])
         with pytest.raises(ValueError):
             poly_roots([3.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("degree", [1, 3])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_rejects_non_finite_coefficients(self, bad, degree, where):
+        # degree 1 used to return -inf+nanj, higher degrees to warn and fail in LAPACK
+        coeffs = np.ones(degree + 1, dtype=complex)
+        coeffs[where] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            poly_roots(coeffs)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,21 @@ class TestRunMc:
         np.testing.assert_array_equal(serial.pooled, threaded.pooled)
         np.testing.assert_array_equal(serial.per_trial, threaded.per_trial)
         np.testing.assert_array_equal(serial.hist_heights, threaded.hist_heights)
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "abc", "1.5", " 2", ""])
+    def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
+        # 0 and -1 used to mean one thread per CPU
+        monkeypatch.setenv("ISO_EDF_THREADS", threads)
+        cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=4, trials=2)
+        with pytest.raises(ValueError, match="ISO_EDF_THREADS must be an integer in"):
+            run_mc(cfg)
+
+    def test_trial_count_is_the_per_trial_row_count(self):
+        cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=5, seed=9)
+        emp = run_mc(cfg)
+        assert emp.trials == 5
+        assert "trials" not in [f.name for f in dataclasses.fields(emp)]
+        assert dataclasses.replace(emp, per_trial=emp.per_trial[:3]).trials == 3
 
     def test_identical_config_identical_result(self):
         cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=5, seed=9)

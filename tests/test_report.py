@@ -3,6 +3,8 @@ import pytest
 
 from isoedf import (
     ArrayNoiseConfig,
+    ComparisonReport,
+    EmpiricalSpectrum,
     McConfig,
     SpectralDensity,
     compare,
@@ -58,3 +60,29 @@ def test_density_rejects_non_finite_samples(grid, values):
     # NaN used to pass both the ascending and the nonnegative test
     with pytest.raises(ValueError, match="finite"):
         SpectralDensity(grid, values, 0.0, 1e-6)
+
+
+def test_density_rejects_mismatched_values_and_a_full_zero_atom():
+    with pytest.raises(ValueError, match="matching"):
+        SpectralDensity([0.0, 1.0, 2.0], [1.0, 1.0], 0.0, 1e-6)
+    with pytest.raises(ValueError, match="zero_mass"):
+        SpectralDensity([0.0, 1.0], [0.0, 0.0], 1.0, 1e-6)
+
+
+def test_compare_rejects_an_empty_empirical_spectrum(density15):
+    empty = EmpiricalSpectrum(
+        pooled=np.empty(0),
+        zero_count=0,
+        hist_edges=np.array([0.0, 1.0]),
+        hist_heights=np.zeros(1),
+        per_trial=np.empty((0, 51)),
+    )
+    assert empty.trials == 0
+    with pytest.raises(ValueError, match="empty"):
+        compare(density15, empty)
+
+
+@pytest.mark.parametrize("ks,l1,what", [(1.5, 0.1, "ks"), (0.1, -1.0, "l1")])
+def test_report_rejects_distances_out_of_range(ks, l1, what):
+    with pytest.raises(ValueError, match=what):
+        ComparisonReport(ks=ks, l1=l1, zero_mass_model=0.0, zero_frac_empirical=0.0)

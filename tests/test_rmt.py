@@ -60,6 +60,26 @@ def test_problem_rejects_bad_ratio(c):
         unit_atom(c)
 
 
+def test_every_stage_states_one_ratio_rule(spectrum51, capsys):
+    from isoedf import classify, zero_atom_mass
+    from isoedf.cli import main
+
+    stages = [
+        lambda: unit_atom(-1.0),
+        lambda: classify(spectrum51, -1.0),
+        lambda: MpParams(c=-1.0),
+        lambda: zero_atom_mass(-1.0),
+    ]
+    for stage in stages:
+        with pytest.raises(ValueError) as err:
+            stage()
+        assert str(err.value) == "aspect ratio c must be finite and > 0, got -1.0"
+    assert main(["atoms", "--n", "12", "--c", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "isoedf: invalid input: aspect ratio c must be finite and > 0, got -1.0\n"
+    )
+
+
 class TestBuildPolynomial:
     def test_single_atom_reduces_to_mp_quadratic(self):
         for c, z in [(0.25, 1.0 + 0.5j), (1.5, 0.3 + 2.0j), (0.5, -1.0 + 1e-3j)]:
@@ -240,6 +260,14 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             default_grid(unit_atom(0.5), 15)
 
+    @pytest.mark.parametrize("points", [20.0, np.float64(20), "20"])
+    def test_points_must_be_an_integer(self, points):
+        # these used to reach np.linspace and raise TypeError there
+        from isoedf import ArrayNoiseConfig
+
+        with pytest.raises(ValueError, match="points must be an integer"):
+            predict_edf(ArrayNoiseConfig(12), 0.5, points=points)
+
 
 class TestPredictEdf:
     @pytest.mark.parametrize("c,expected_atoms", [(0.25, 7), (0.5, 5), (1.0, 4), (1.5, 3)])
@@ -303,6 +331,23 @@ class TestCompanionFallback:
             density_curve(unit_atom(0.5), grid)
         assert err.value.z == complex(grid[0], 1e-6)
         assert err.value.residual > rmt._RESIDUAL_TOL
+
+
+def test_enumeration_without_an_admissible_root_raises_solver_error(monkeypatch):
+    import isoedf.rmt as rmt
+    from isoedf import SolverError
+
+    real_admissible = rmt._admissible
+
+    def reject_all(*args):
+        ok, residual = real_admissible(*args)
+        return np.zeros_like(ok), residual
+
+    monkeypatch.setattr(rmt, "_admissible", reject_all)
+    with pytest.raises(SolverError) as err:
+        stieltjes_by_enumeration(unit_atom(0.5), 1.0 + 0.5j)
+    assert err.value.z == 1.0 + 0.5j
+    assert err.value.residual <= rmt._RESIDUAL_TOL  # the best root was fine; it was refused
 
 
 class TestBranchSelection:
@@ -523,6 +568,22 @@ def test_density_curve_rejects_non_finite_grid(grid):
 
 
 @pytest.mark.parametrize(
+    "grid",
+    [[1.0], [[0.5, 1.0], [1.5, 2.0]], [1.0, 0.5], [1.0, 1.0, 2.0], [0.5, math.nan]],
+    ids=["one-point", "2-D", "descending", "repeated", "nan"],
+)
+def test_density_curve_and_density_share_one_grid_rule(grid):
+    from isoedf import SpectralDensity
+
+    with pytest.raises(ValueError) as from_curve:
+        density_curve(unit_atom(0.5), grid)
+    with pytest.raises(ValueError) as from_density:
+        SpectralDensity(grid, np.ones(np.shape(grid)), 0.0, 1e-6)
+    assert str(from_curve.value) == str(from_density.value)
+    assert str(from_curve.value).startswith("grid must be")
+
+
+@pytest.mark.parametrize(
     "z", [complex(1.0, math.inf), complex(math.inf, 1.0), complex(math.nan, 1.0)]
 )
 def test_stieltjes_at_rejects_non_finite_z(z):
@@ -535,5 +596,5 @@ def test_predict_edf_rejects_fewer_than_16_points(c):
     # c = 0.5 takes the uniform default grid, c = 1 the square-root graded one
     from isoedf import ArrayNoiseConfig
 
-    with pytest.raises(ValueError, match="points must be >= 16"):
+    with pytest.raises(ValueError, match=r"points must be an integer in \[16, inf\)"):
         predict_edf(ArrayNoiseConfig(n=12), c, points=15)

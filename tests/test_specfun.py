@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoedf import MpParams, bessel_j0, mp_density, zero_atom_mass
+from isoedf import ArrayNoiseConfig, MpParams, bessel_j0, mp_density, zero_atom_mass
 from isoedf.specfun import _PP, _PQ, _QP, _QQ
 
 J0_FIRST_ZERO = 2.404825557695773
@@ -76,10 +76,14 @@ class TestBesselJ0:
         assert bessel_j0(x) == bessel_j0(-x)
 
     def test_wide_range_absolute_error(self):
-        mpmath.mp.dps = 30
-        for x in np.linspace(0.0, 200.0, 1201):
-            ref = float(mpmath.besselj(0, mpmath.mpf(float(x))))
-            assert abs(bessel_j0(x) - ref) <= 1e-9, f"x={x}"
+        # the covariance row takes J0(alpha k) for k < N: out to 2.6e4 at N = 4096, zeta = 1
+        k = np.arange(0, 4096, 7)
+        rows = [ArrayNoiseConfig(4096, zeta).alpha * k for zeta in (0.5, 1.0)]
+        xs = np.concatenate([np.linspace(0.0, 200.0, 1201), *rows])
+        with mpmath.workdps(30):
+            for x in xs:
+                ref = float(mpmath.besselj(0, mpmath.mpf(float(x))))
+                assert abs(bessel_j0(x) - ref) <= 1e-13, f"x={x}"
 
     def test_bounded_by_one(self):
         for x in np.linspace(-60, 200, 757):

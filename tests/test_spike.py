@@ -10,7 +10,7 @@ from isoedf import AtomicMeasure, EnsembleSpectrum, classify, full_measure, redu
 
 def spectrum_from(values):
     values = np.sort(np.asarray(values, dtype=float))[::-1]
-    return EnsembleSpectrum(values=values, n=len(values))
+    return EnsembleSpectrum(values=values)
 
 
 positive_spectra = st.lists(
@@ -166,6 +166,10 @@ class TestAtomicMeasureInvariants:
     def test_no_zero_weights(self):
         with pytest.raises(ValueError):
             AtomicMeasure(atoms=((1.0, 0.0), (2.0, 1.0)), kind="full")
+
+    def test_rejects_an_empty_measure(self):
+        with pytest.raises(ValueError, match="at least one atom"):
+            AtomicMeasure(atoms=(), kind="full")
 
     def test_kind_tag(self):
         with pytest.raises(ValueError):
