@@ -93,6 +93,7 @@ def _cmd_predict(args, parser, out):
         "eta": args.eta,
         "zero_mass": density.zero_mass,
         "wall_ms": round(pred.wall_ms, 3),
+        "stage_ms": {stage: round(ms, 3) for stage, ms in pred.stage_ms.items()},
     }
     _write(out, header, "x,f", zip(density.grid, density.values))
 

@@ -167,17 +167,50 @@ def scm_eigenvalues(
 class EmpiricalSpectrum:
     """Pooled sample-covariance eigenvalues across trials.
 
-    `pooled` is ascending with sub-clamp values snapped to exactly 0.0;
-    `per_trial` keeps each trial's raw descending eigenvalues as one row,
-    and `trials` is its length.  When L < N the N - L rank-deficiency
-    zeros of each trial are exactly 0.0, since only the L x L Gram is solved.
+    Built from `per_trial`, each trial's raw descending eigenvalues as one
+    row, and the histogram's bin count; everything else is derived from
+    them at construction, so `dataclasses.replace` with a new `per_trial`
+    re-derives it.  `pooled` is ascending, with the eigenvalues below 1e-9
+    of the pooled maximum (the rank-deficiency zeros plus round-off)
+    snapped to exactly 0.0 and counted in `zero_count`.  The histogram of
+    the nonzero part has `bins` equal bins on [0, 1.05 max]; its heights
+    are normalized so the continuous area equals the nonzero fraction.
+    When L < N the N - L rank-deficiency zeros of each trial are exactly
+    0.0, since only the L x L Gram is solved.  ValueError unless
+    `per_trial` is a non-empty 2-D array of finite values with a positive
+    maximum.
     """
 
-    pooled: np.ndarray = field(repr=False)
-    zero_count: int
-    hist_edges: np.ndarray = field(repr=False)
-    hist_heights: np.ndarray = field(repr=False)
     per_trial: np.ndarray = field(repr=False)
+    bins: int
+    pooled: np.ndarray = field(init=False, repr=False)
+    zero_count: int = field(init=False)
+    hist_edges: np.ndarray = field(init=False, repr=False)
+    hist_heights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        per_trial = np.asarray(self.per_trial, dtype=float)
+        pooled = np.sort(per_trial.ravel())
+        ok = per_trial.ndim == 2 and per_trial.size and np.isfinite(pooled).all()
+        if not (ok and pooled[-1] > 0):
+            raise ValueError(
+                "per_trial must be a non-empty 2-D array of finite eigenvalues, not all <= 0"
+            )
+        check_int("bins", self.bins, 1)
+        g_max = float(pooled[-1])
+        zero_count = int(np.count_nonzero(pooled < _ZERO_CLAMP_REL * g_max))
+        pooled[:zero_count] = 0.0
+        edges = np.linspace(0.0, 1.05 * g_max, self.bins + 1)
+        counts, _ = np.histogram(pooled[zero_count:], bins=edges)
+        heights = counts / (len(pooled) * np.diff(edges))
+        for name, value in (
+            ("per_trial", per_trial),
+            ("pooled", pooled),
+            ("zero_count", zero_count),
+            ("hist_edges", edges),
+            ("hist_heights", heights),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def trials(self) -> int:
@@ -205,13 +238,7 @@ def _worker_count(trials: int) -> int:
 
 
 def run_mc(mc: McConfig) -> EmpiricalSpectrum:
-    """Pool eigenvalues over all trials and histogram the nonzero part.
-
-    Eigenvalues below 1e-9 of the pooled maximum are the rank-deficiency
-    zeros (plus round-off) and are clamped to exactly 0.  Histogram
-    heights are normalized so the continuous area equals the nonzero
-    fraction; the zero mass is reported separately.
-    """
+    """Eigenvalues of every trial, pooled and histogrammed by EmpiricalSpectrum."""
     sigma_half = sqrt_psd(build_ecm(mc.cfg))
     n, l = mc.cfg.n, mc.snapshots
     per_trial = np.empty((mc.trials, n))
@@ -235,18 +262,4 @@ def run_mc(mc: McConfig) -> EmpiricalSpectrum:
             for fut in futures:
                 fut.result()
 
-    pooled = np.sort(per_trial.ravel())
-    g_max = float(pooled[-1])
-    clamp = _ZERO_CLAMP_REL * g_max
-    zero_count = int(np.count_nonzero(pooled < clamp))
-    pooled[:zero_count] = 0.0
-    edges = np.linspace(0.0, 1.05 * g_max, mc.bins + 1)
-    counts, _ = np.histogram(pooled[zero_count:], bins=edges)
-    heights = counts / (len(pooled) * np.diff(edges))
-    return EmpiricalSpectrum(
-        pooled=pooled,
-        zero_count=zero_count,
-        hist_edges=edges,
-        hist_heights=heights,
-        per_trial=per_trial,
-    )
+    return EmpiricalSpectrum(per_trial=per_trial, bins=mc.bins)

@@ -57,8 +57,6 @@ def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     each other, so agreeing zero masses do not register as distance.
     """
     pooled = emp.pooled
-    if len(pooled) == 0:
-        raise ValueError("empirical spectrum is empty")
     xs = np.unique(pooled)
     f_right = model_cdf(model, xs)
     f_left = np.where(xs == 0.0, 0.0, f_right)  # model_cdf is 0 below zero

@@ -21,8 +21,13 @@ above moved along its tangent dmc/dz = -mc/G'(mc), with the G' that
 Newton formed on its last step, or the root itself where that prediction
 is not finite or leaves Im mc > 0.  A level above eta only supplies the
 start of the next, so it is solved to a relative step of 1e-4, and only
-the level at eta to 1e-14.  The boundary density is recovered from the
-imaginary part on the grid.
+on a subgrid: one grid point per bin of width 2 Im z, plus the last
+point, with its roots and slopes interpolated linearly onto the rest.
+At those heights m is smooth on the scale of Im z, so the curves move
+by at most 2.1e-14 of their maximum (6e-16 on the benchmark scenarios),
+and the benchmark's predictions take ~43% fewer atom-point evaluations.
+Only the level at eta solves every point, to 1e-14.  The boundary
+density is recovered from the imaginary part on the grid.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ _NEWTON_TOL = 1e-14
 _MAX_HALVINGS = 60
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
+_BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
 _BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
 
 
@@ -180,7 +186,14 @@ def _continue(ct, w, z0, x, eta, top):
     mc - (mc/G') i (h_new - h).  Where that is not finite or has
     Im mc <= 0, the level starts from the root above instead.  The levels
     above eta only have to land the next start near its root, so they
-    stop at a relative step of _LEVEL_TOL; the level at eta runs to
+    stop at a relative step of _LEVEL_TOL, and each solves only a
+    subgrid: the first x of every bin floor(x / (_BIN_WIDTH h)) plus the
+    last x.  Their roots and slopes G' are interpolated linearly in x
+    (real and imaginary parts apart) onto the whole block: m(x + i h) is
+    smooth on the scale h, so those make starts about as good as solved
+    roots would.  Where the bins are narrower than the grid spacing every
+    point is its own bin, so the low levels and a graded or non-uniform
+    grid take the same path.  The level at eta solves every point to
     _NEWTON_TOL.
     """
     h = max(top, eta)
@@ -195,8 +208,22 @@ def _continue(ct, w, z0, x, eta, top):
         h = lower
         if h == eta:
             return _newton(ct, w, z0, x + 1j * h, mc)
-        slope = np.empty_like(mc)
-        mc = _newton(ct, w, z0, x + 1j * h, mc, _LEVEL_TOL, slope)
+        bins = np.floor(x / (_BIN_WIDTH * h))
+        first = np.diff(bins, prepend=np.nan) != 0
+        first[-1] = True
+        sub = np.flatnonzero(first)
+        xs = x[sub]
+        slope = np.empty(len(sub), dtype=complex)
+        roots = _newton(ct, w, z0, xs + 1j * h, mc[sub], _LEVEL_TOL, slope)
+        mc, slope = _spread(x, xs, roots), _spread(x, xs, slope)
+
+
+def _spread(x, xs, v):
+    """v, given at the ascending points xs, interpolated linearly onto x."""
+    out = np.empty(len(x), dtype=complex)
+    out.real = np.interp(x, xs, v.real)
+    out.imag = np.interp(x, xs, v.imag)
+    return out
 
 
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
@@ -310,7 +337,9 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
 
     All grid points are solved together by predictor-corrector Newton
     continuation in Im z, from max(10, 2 x_max) down to eta by factors of
-    0.03.  Grid points and eta must be finite.  For c > 1 the zero atom's
+    0.03; each level above eta solves one grid point per bin of width
+    2 Im z and interpolates the rest, and the level at eta solves every
+    point.  Grid points and eta must be finite.  For c > 1 the zero atom's
     pole is subtracted (the samples are Im mc/pi), so they describe only
     the continuous part.  A point that fails the acceptance test raises
     SolverError; as mc holds m + (1 - 1/c)/z, rounding alone leaves a
@@ -357,6 +386,9 @@ class EdfPrediction:
 
     `wall_ms` covers the whole call; it includes the eigensolve only when
     the array's spectrum was not already cached by `ensemble_spectrum`.
+    `stage_ms` splits it: `spectrum` (the ensemble spectrum), `measure`
+    (the collapse or the full measure) and `density` (grid and
+    `density_curve`); their sum is at most `wall_ms`.
     """
 
     density: SpectralDensity
@@ -364,6 +396,7 @@ class EdfPrediction:
     mode: str
     c: float
     wall_ms: float
+    stage_ms: dict[str, float]
 
 
 def predict_edf(
@@ -378,17 +411,25 @@ def predict_edf(
         raise ValueError(f"mode must be 'reduced' or 'full', got {mode!r}")
     start = time.perf_counter()
     spectrum = ensemble_spectrum(cfg)
+    t_spectrum = time.perf_counter()
     if mode == "reduced":
         measure = reduce(classify(spectrum, c))
     else:
         measure = full_measure(spectrum)
     problem = FmcProblem(measure=measure, c=c)
+    t_measure = time.perf_counter()
     density = density_curve(problem, default_grid(problem, points), eta)
-    wall_ms = (time.perf_counter() - start) * 1e3
+    t_density = time.perf_counter()
+    stage_ms = {
+        "spectrum": (t_spectrum - start) * 1e3,
+        "measure": (t_measure - t_spectrum) * 1e3,
+        "density": (t_density - t_measure) * 1e3,
+    }
     return EdfPrediction(
         density=density,
         atom_count=len(measure.atoms),
         mode=mode,
         c=c,
-        wall_ms=wall_ms,
+        wall_ms=(time.perf_counter() - start) * 1e3,
+        stage_ms=stage_ms,
     )

@@ -79,8 +79,13 @@ def test_predict_header_and_out_round_trip(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     header, columns, rows = parse_csv(path.read_text())
-    assert set(header) == {"atoms", "c", "eta", "zero_mass", "wall_ms"}
+    assert set(header) == {"atoms", "c", "eta", "zero_mass", "wall_ms", "stage_ms"}
     assert header["c"] == 0.5 and header["eta"] == 1e-6 and header["zero_mass"] == 0.0
+    stages = header["stage_ms"]
+    assert list(stages) == ["spectrum", "measure", "density"]
+    assert all(ms >= 0 for ms in stages.values())
+    # each value is rounded to 1e-3 ms, so the sum may exceed wall_ms by 3 half-steps
+    assert sum(stages.values()) <= header["wall_ms"] + 1.5e-3
     assert columns == "x,f"
     pred = predict_edf(ArrayNoiseConfig(n=12), 0.5, points=64)
     assert header["atoms"] == pred.atom_count

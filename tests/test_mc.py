@@ -167,6 +167,19 @@ class TestRunMc:
         assert "trials" not in [f.name for f in dataclasses.fields(emp)]
         assert dataclasses.replace(emp, per_trial=emp.per_trial[:3]).trials == 3
 
+    def test_replacing_per_trial_rederives_the_pooled_fields(self):
+        cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=5, seed=9)
+        emp = run_mc(cfg)
+        part = dataclasses.replace(emp, per_trial=emp.per_trial[:3])
+        assert len(part.pooled) == 3 * 8
+        np.testing.assert_array_equal(part.pooled, np.sort(emp.per_trial[:3].ravel()))
+        assert part.ecdf(np.inf) == 1.0 and part.bins == emp.bins
+        area = np.sum(part.hist_heights * np.diff(part.hist_edges))
+        assert area == pytest.approx(1 - part.zero_fraction, rel=1e-12)
+        np.testing.assert_array_equal(
+            run_mc(dataclasses.replace(cfg, trials=3)).pooled, part.pooled
+        )
+
     def test_identical_config_identical_result(self):
         cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=5, seed=9)
         a, b = run_mc(cfg), run_mc(cfg)

@@ -69,17 +69,11 @@ def test_density_rejects_mismatched_values_and_a_full_zero_atom():
         SpectralDensity([0.0, 1.0], [0.0, 0.0], 1.0, 1e-6)
 
 
-def test_compare_rejects_an_empty_empirical_spectrum(density15):
-    empty = EmpiricalSpectrum(
-        pooled=np.empty(0),
-        zero_count=0,
-        hist_edges=np.array([0.0, 1.0]),
-        hist_heights=np.zeros(1),
-        per_trial=np.empty((0, 51)),
-    )
-    assert empty.trials == 0
-    with pytest.raises(ValueError, match="empty"):
-        compare(density15, empty)
+def test_empirical_spectrum_rejects_an_empty_per_trial():
+    # an empty spectrum is refused where it is built, so compare never sees one
+    for per_trial in (np.empty((0, 51)), np.empty((3, 0)), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="non-empty"):
+            EmpiricalSpectrum(per_trial=per_trial, bins=75)
 
 
 @pytest.mark.parametrize("ks,l1,what", [(1.5, 0.1, "ks"), (0.1, -1.0, "l1")])

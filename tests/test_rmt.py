@@ -295,6 +295,15 @@ class TestPredictEdf:
         with pytest.raises(ValueError):
             predict_edf(cfg51, 0.5, mode="other")
 
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_stage_times_split_the_wall_time(self, mode):
+        from isoedf import ArrayNoiseConfig
+
+        pred = predict_edf(ArrayNoiseConfig(n=12), 0.5, mode=mode, points=64)
+        assert list(pred.stage_ms) == ["spectrum", "measure", "density"]
+        assert all(ms >= 0 for ms in pred.stage_ms.values())
+        assert sum(pred.stage_ms.values()) <= pred.wall_ms
+
 
 class TestGridSolverAgainstPolynomial:
     """The grid solver against the paper's route: roots of the cleared polynomial."""
