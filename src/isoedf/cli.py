@@ -1,7 +1,10 @@
 """Command-line front end: spectra, atomic models, predictions, simulations.
 
-Output convention: a `#`-prefixed JSON header line with run metadata,
-then plain CSV rows, so one file feeds both scripts and plot tools.
+`main` owns parsing, input resolution, output and exit codes: it opens
+--out, resolves --c / --snapshots once, builds the one ArrayNoiseConfig,
+calls the subcommand and prints what it returns.  Subcommands only compute.
+Output: a `#`-prefixed JSON header line with run metadata, then plain
+CSV rows, so one file feeds both scripts and plot tools.
 Exit codes: 0 success (also when the reader closes the output pipe early),
 2 usage error or invalid input, 1 numeric failure or out of memory.  Input checks live in
 the library constructors and functions; their ValueError exits 2, and so
@@ -21,9 +24,9 @@ from .ecm import ArrayNoiseConfig, check_int, ensemble_spectrum
 from .linalg import NumericError
 from .mc import McConfig, run_mc
 from .report import compare
-from .rmt import FmcProblem, SolverError, default_grid, density_curve, predict_edf
+from .rmt import SolverError, predict_edf
 from .specfun import check_ratio
-from .spike import classify, full_measure, reduce
+from .spike import classify, reduce
 
 
 def _fmt(v: float) -> str:
@@ -63,54 +66,46 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
     return args.c, snapshots
 
 
-def _cmd_eigvals(args, parser, out):
-    spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
+def _cmd_eigvals(args, cfg):
     header = {"n": args.n, "zeta": args.zeta}
-    _write(out, header, "index,gamma", enumerate(spectrum.values, start=1))
+    return header, "index,gamma", enumerate(ensemble_spectrum(cfg).values, start=1)
 
 
-def _cmd_atoms(args, parser, out):
-    c, _ = _resolve_c_and_l(args, parser)
-    spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
-    measure = reduce(classify(spectrum, c))
-    header = {"n": args.n, "zeta": args.zeta, "c": c, "atoms": len(measure.atoms)}
-    _write(out, header, "location,weight", measure.atoms)
+def _cmd_atoms(args, cfg):
+    measure = reduce(classify(ensemble_spectrum(cfg), args.c))
+    header = {"n": args.n, "zeta": args.zeta, "c": args.c, "atoms": len(measure.atoms)}
+    return header, "location,weight", measure.atoms
 
 
-def _cmd_predict(args, parser, out):
-    c, _ = _resolve_c_and_l(args, parser)
-    pred = predict_edf(
-        ArrayNoiseConfig(n=args.n, zeta=args.zeta),
-        c,
-        mode=args.mode,
-        points=args.grid_points,
-        eta=args.eta,
-    )
-    density = pred.density
+def _cmd_predict(args, cfg):
+    pred = predict_edf(cfg, args.c, mode=args.mode, points=args.grid_points, eta=args.eta)
     header = {
         "atoms": pred.atom_count,
-        "c": c,
+        "c": args.c,
         "eta": args.eta,
-        "zero_mass": density.zero_mass,
+        "zero_mass": pred.density.zero_mass,
         "wall_ms": round(pred.wall_ms, 3),
         "stage_ms": {stage: round(ms, 3) for stage, ms in pred.stage_ms.items()},
     }
-    _write(out, header, "x,f", zip(density.grid, density.values))
+    return header, "x,f", zip(pred.density.grid, pred.density.values)
 
 
-def _cmd_simulate(args, parser, out):
-    _, snapshots = _resolve_c_and_l(args, parser)
-    cfg = ArrayNoiseConfig(n=args.n, zeta=args.zeta)
+def _timed_mc(args, cfg):
+    """The McConfig of the parsed options, its run_mc result and wall time in ms."""
     mc_cfg = McConfig(
-        cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins
+        cfg=cfg, snapshots=args.snapshots, trials=args.trials, seed=args.seed, bins=args.bins
     )
     start = time.perf_counter()
     emp = run_mc(mc_cfg)
-    wall_ms = (time.perf_counter() - start) * 1e3
+    return mc_cfg, emp, (time.perf_counter() - start) * 1e3
+
+
+def _cmd_simulate(args, cfg):
+    mc_cfg, emp, wall_ms = _timed_mc(args, cfg)
     header = {
         "n": args.n,
         "zeta": args.zeta,
-        "snapshots": snapshots,
+        "snapshots": args.snapshots,
         "trials": args.trials,
         "seed": args.seed,
         "bins": args.bins,
@@ -119,29 +114,20 @@ def _cmd_simulate(args, parser, out):
         "wall_ms": round(wall_ms, 3),
     }
     if args.format == "pooled":
-        columns = "trial,index,g"
         rows = (
             (trial, i, g)
             for trial, values in enumerate(emp.per_trial)
             for i, g in enumerate(values, start=1)
         )
-    else:
-        columns = "bin_left,bin_right,height"
-        rows = zip(emp.hist_edges[:-1], emp.hist_edges[1:], emp.hist_heights)
-    _write(out, header, columns, rows)
+        return header, "trial,index,g", rows
+    rows = zip(emp.hist_edges[:-1], emp.hist_edges[1:], emp.hist_heights)
+    return header, "bin_left,bin_right,height", rows
 
 
-def _cmd_compare(args, parser, out):
-    _, snapshots = _resolve_c_and_l(args, parser)
-    cfg = ArrayNoiseConfig(n=args.n, zeta=args.zeta)
-    mc_cfg = McConfig(
-        cfg=cfg, snapshots=snapshots, trials=args.trials, seed=args.seed, bins=args.bins
-    )
+def _cmd_compare(args, cfg):
+    mc_cfg, emp, mc_ms = _timed_mc(args, cfg)
     c = mc_cfg.c  # model the aspect ratio n / L that is simulated
     pred = predict_edf(cfg, c, mode=args.mode, points=args.grid_points, eta=args.eta)
-    start = time.perf_counter()
-    emp = run_mc(mc_cfg)
-    mc_ms = (time.perf_counter() - start) * 1e3
     rep = compare(pred.density, emp)
     payload = {
         "n": args.n,
@@ -157,34 +143,28 @@ def _cmd_compare(args, parser, out):
         "runtime_mc_ms": round(mc_ms, 3),
         "seed": args.seed,
     }
-    _write(out, payload)
+    return (payload,)
 
 
-def _cmd_bench(args, parser, out):
-    c, _ = _resolve_c_and_l(args, parser)
-    spectrum = ensemble_spectrum(ArrayNoiseConfig(n=args.n, zeta=args.zeta))
-    reduced = FmcProblem(measure=reduce(classify(spectrum, c)), c=c)
-    full = FmcProblem(measure=full_measure(spectrum), c=c)
-    grid = default_grid(full, args.grid_points)
-    start = time.perf_counter()
-    density_curve(reduced, grid, args.eta)
-    reduced_ms = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    density_curve(full, grid, args.eta)
-    full_ms = (time.perf_counter() - start) * 1e3
+def _cmd_bench(args, cfg):
+    reduced, full = (
+        predict_edf(cfg, args.c, mode=mode, points=args.grid_points, eta=args.eta)
+        for mode in ("reduced", "full")
+    )
+    reduced_ms, full_ms = reduced.stage_ms["density"], full.stage_ms["density"]
     payload = {
         "n": args.n,
         "zeta": args.zeta,
-        "c": c,
+        "c": args.c,
         "grid_points": args.grid_points,
         "eta": args.eta,
-        "atoms_reduced": len(reduced.measure.atoms),
-        "atoms_full": len(full.measure.atoms),
+        "atoms_reduced": reduced.atom_count,
+        "atoms_full": full.atom_count,
         "reduced_ms": round(reduced_ms, 3),
         "full_ms": round(full_ms, 3),
         "speedup": round(full_ms / reduced_ms, 3),
     }
-    _write(out, payload)
+    return (payload,)
 
 
 def _add_common(sub, *, snapshots=False, model=False, sim=False):
@@ -238,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", choices=("reduced", "full"), default="reduced")
     sub.set_defaults(func=_cmd_compare)
 
-    sub = subs.add_parser("bench", help="reduced vs full mode timing as JSON")
+    sub = subs.add_parser("bench", help="reduced vs full density-stage time of `predict` as JSON")
     _add_common(sub, snapshots=True, model=True)
     sub.set_defaults(func=_cmd_bench)
     return parser
@@ -250,7 +230,9 @@ def main(argv=None) -> int:
     try:
         # --out is opened first, so a bad path fails before any computation
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-            args.func(args, parser, out)
+            if hasattr(args, "c"):
+                args.c, args.snapshots = _resolve_c_and_l(args, parser)
+            _write(out, *args.func(args, ArrayNoiseConfig(n=args.n, zeta=args.zeta)))
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so
         # the interpreter's final flush of the buffered rest cannot raise

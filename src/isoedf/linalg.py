@@ -2,8 +2,9 @@
 
 Thin contract layer over LAPACK (via numpy): input validation, ordering
 and tolerance conventions live here so callers never touch numpy.linalg
-directly.  Every matrix passes one gate, `_square`, and every LAPACK call
-goes through `_lapack`, which raises NumericError where LAPACK fails.
+directly.  Every matrix passes one gate, `_square`, a symmetric one also
+`_symmetric`, and every LAPACK call goes through `_lapack`, which raises
+NumericError where LAPACK fails.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def _square(a, dtype) -> np.ndarray:
     return a
 
 
+def _symmetric(a) -> np.ndarray:
+    """a as _square's float matrix; ValueError unless it is exactly symmetric."""
+    a = _square(a, float)
+    if not np.array_equal(a, a.T):
+        raise ValueError("matrix is not symmetric")
+    return a
+
+
 def _lapack(solver, a: np.ndarray, what: str):
     """solver(a), with a LAPACK failure raised as NumericError naming `what`."""
     try:
@@ -37,9 +46,7 @@ def _lapack(solver, a: np.ndarray, what: str):
 
 def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted descending."""
-    a = _square(a, float)
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
+    a = _symmetric(a)
     return _lapack(np.linalg.eigvalsh, a, "symmetric eigensolver")[::-1].copy()
 
 
@@ -61,9 +68,7 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-10 * lambda_max, 0) are treated as round-off and
     clamped to zero; anything more negative raises.
     """
-    a = _square(a, float)
-    if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
+    a = _symmetric(a)
     vals, vecs = _lapack(np.linalg.eigh, a, "symmetric eigensolver")
     lam_max = max(vals[-1], 0.0)
     if vals[0] < -1e-10 * lam_max:

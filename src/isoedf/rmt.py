@@ -208,8 +208,10 @@ def _continue(ct, w, z0, x, eta, top):
         h = lower
         if h == eta:
             return _newton(ct, w, z0, x + 1j * h, mc)
-        bins = np.floor(x / (_BIN_WIDTH * h))
-        first = np.diff(bins, prepend=np.nan) != 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            # below h ~ 1e-308 the bin numbers overflow to inf and their steps
+            # to nan, which still makes every point its own bin
+            first = np.diff(np.floor(x / (_BIN_WIDTH * h)), prepend=np.nan) != 0
         first[-1] = True
         sub = np.flatnonzero(first)
         xs = x[sub]

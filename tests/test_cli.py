@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -11,9 +12,11 @@ from isoedf import (
     ArrayNoiseConfig,
     McConfig,
     SolverError,
+    classify,
     compare,
     ensemble_spectrum,
     predict_edf,
+    reduce,
     run_mc,
 )
 from isoedf.cli import main
@@ -302,6 +305,58 @@ def test_bench_payload(capsys):
     ]
     assert payload["atoms_reduced"] < payload["atoms_full"] == 51
     assert payload["grid_points"] == 200 and payload["c"] == 0.5
+
+
+def test_bench_times_the_two_predictions(capsys, monkeypatch):
+    # at n = 12, c = 1.5 the two modes' default grids differ, so each mode
+    # is timed on the grid that its own prediction uses
+    calls = []
+
+    def recording(*args, **kwargs):
+        pred = predict_edf(*args, **kwargs)
+        bound = inspect.signature(predict_edf).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments, pred))
+        return pred
+
+    monkeypatch.setattr("isoedf.cli.predict_edf", recording)
+    code, out, _ = run_cli(capsys, "bench", "--n", 12, "--c", 1.5, "--grid-points", 64)
+    assert code == 0
+    payload = json.loads(out)
+    (args_r, reduced), (args_f, full) = calls
+    assert (args_r["mode"], args_f["mode"]) == ("reduced", "full")
+    assert args_r["points"] == args_f["points"] == 64
+    assert args_r["eta"] == args_f["eta"] == 1e-6
+    assert not np.array_equal(reduced.density.grid, full.density.grid)
+    assert payload["atoms_reduced"] == reduced.atom_count
+    assert payload["atoms_full"] == full.atom_count
+    assert payload["reduced_ms"] == round(reduced.stage_ms["density"], 3)
+    assert payload["full_ms"] == round(full.stage_ms["density"], 3)
+
+
+def test_atoms_rows(capsys):
+    code, out, _ = run_cli(capsys, "atoms", "--n", 12, "--c", 0.5)
+    assert code == 0
+    header, _, rows = parse_csv(out)
+    expected = reduce(classify(ensemble_spectrum(ArrayNoiseConfig(n=12)), 0.5)).atoms
+    assert header["atoms"] == len(expected)
+    # rows print 12 significant digits, a relative rounding of up to 5e-12
+    np.testing.assert_allclose(rows, expected, rtol=1e-11)
+
+
+def test_eta_near_the_smallest_float_exits_0_quietly():
+    # a subprocess, so that any RuntimeWarning would reach its stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "12", "--c", "0.5",
+         "--eta", "1e-320", "--grid-points", "32"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.splitlines()[1] == b"x,f"
 
 
 def test_compare_payload(capsys):

@@ -112,6 +112,21 @@ class TestEdgeCases:
         grid = np.linspace(1.0, 1.001, 50)
         assert_close(*oracle(values, unit_atom(0.25), grid, 1e-6))
 
+    @pytest.mark.parametrize("eta", [1e-308, 5e-324])
+    def test_eta_near_the_smallest_float(self, eta):
+        # at the levels just above eta, x / (2 Im z) overflows: every point is
+        # its own bin, and no RuntimeWarning reaches the suite's error filter
+        from isoedf import classify, ensemble_spectrum, reduce
+
+        spectrum = ensemble_spectrum(ArrayNoiseConfig(12))
+        p = FmcProblem(measure=reduce(classify(spectrum, 0.5)), c=0.5)
+        grid = default_grid(p, 64)
+        expected = values(p, grid, 1e-300)
+        atol = 1e-12 * expected.max()
+        np.testing.assert_allclose(values(p, grid, eta), expected, rtol=0, atol=atol)
+        m, expected_m = stieltjes_at(p, 0.5 + eta * 1j), stieltjes_at(p, 0.5 + 1e-300j)
+        assert abs(m - expected_m) <= 1e-12 * abs(expected_m)
+
 
 def newton_effort(monkeypatch, n, c, mode, continue_):
     """Atom-point evaluations of G per continuation level, keyed by Im z, and in total."""
