@@ -9,13 +9,16 @@ Exit codes: 0 success (also when the reader closes the output pipe early),
 2 usage error or invalid input, 1 numeric failure or out of memory.  Input checks live in
 the library constructors and functions; their ValueError exits 2, and so
 does an OSError from opening --out, which happens before any computation.
+A run that exits non-zero leaves an existing --out file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import stat
 import sys
 import time
 from contextlib import nullcontext
@@ -48,8 +51,8 @@ def _write(out, header, columns=None, rows=()):
 def _resolve_c_and_l(args, parser) -> tuple[float, int]:
     """Aspect ratio and snapshot count from --c / --snapshots (either suffices).
 
-    --c implies the snapshot count round(n / c); given together, --snapshots
-    must equal it.
+    --c implies the snapshot count round(n / c), which must be finite; given
+    together, --snapshots must equal it.
     """
     if args.c is None and args.snapshots is None:
         parser.error("one of --c or --snapshots is required")
@@ -57,6 +60,8 @@ def _resolve_c_and_l(args, parser) -> tuple[float, int]:
         check_int("snapshots", args.snapshots, 1)
         return args.n / args.snapshots, args.snapshots
     check_ratio(args.c)
+    if not math.isfinite(args.n / args.c):
+        raise ValueError(f"--c {args.c} implies a snapshot count n / c that is not finite")
     snapshots = round(args.n / args.c)
     if args.snapshots is not None and args.snapshots != snapshots:
         parser.error(
@@ -228,11 +233,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # --out is opened first, so a bad path fails before any computation
-        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        # --out is opened first, so a bad path fails before any computation, and
+        # for append, so it is emptied only once the subcommand has succeeded
+        with open(args.out, "a") if args.out else nullcontext(sys.stdout) as out:
             if hasattr(args, "c"):
                 args.c, args.snapshots = _resolve_c_and_l(args, parser)
-            _write(out, *args.func(args, ArrayNoiseConfig(n=args.n, zeta=args.zeta)))
+            result = args.func(args, ArrayNoiseConfig(n=args.n, zeta=args.zeta))
+            if args.out and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate(0)  # a pipe or a device such as /dev/null cannot be emptied
+            _write(out, *result)
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so
         # the interpreter's final flush of the buffered rest cannot raise

@@ -15,7 +15,7 @@ _POLISH_MAX_STEP = 1e-6  # relative Newton step beyond which a root is left as i
 
 
 class NumericError(RuntimeError):
-    """An iterative kernel failed to converge."""
+    """A kernel failed: LAPACK did not converge, or a result left the float range."""
 
 
 def _square(a, dtype) -> np.ndarray:
@@ -90,7 +90,8 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     Each eigenvalue is then refined by Newton steps on the polynomial:
     near clustered roots the eigenvalues alone can be off by 1e-8
     relative, enough to give a root just below the real axis a positive
-    imaginary part.  Coefficients must be finite, else ValueError.
+    imaginary part.  Coefficients must be finite, else ValueError; where
+    the monic coefficients overflow, NumericError names the degree.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if not np.isfinite(coeffs).all():
@@ -98,8 +99,15 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.trim_zeros(coeffs, "b")  # drop zero leading coefficients
     if len(coeffs) < 2:
         raise ValueError("polynomial degree must be at least 1")
-    monic = coeffs / coeffs[-1]
     d = len(coeffs) - 1
+    # an exact power-of-two scaling that brings the largest coefficient into
+    # [0.5, 1), so the division overflows only where the monic ones do
+    _, e = np.frexp(np.abs(coeffs).max())
+    coeffs = np.ldexp(coeffs.real, -e) + 1j * np.ldexp(coeffs.imag, -e)
+    with np.errstate(all="ignore"):  # the leading one may have underflowed to 0
+        monic = coeffs / coeffs[-1]
+    if not np.isfinite(monic).all():
+        raise NumericError(f"monic coefficients of the degree-{d} polynomial overflow")
     if d == 1:
         return np.array([-monic[0]])
     comp = np.zeros((d, d), dtype=complex)
@@ -116,7 +124,7 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     move the root rather than refine it, as at a near-multiple root.
     """
     deriv = np.polyder(desc)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for _ in range(2):
             step = np.polyval(desc, roots) / np.polyval(deriv, roots)
             small = np.abs(step) <= _POLISH_MAX_STEP * np.maximum(1.0, np.abs(roots))

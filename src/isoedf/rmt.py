@@ -9,25 +9,24 @@ spectrum solves the self-consistency equation
 the scalar master equation of the convolution.  Cleared of denominators
 it is a degree-(k+1) polynomial in m; stieltjes_by_enumeration is the
 per-point reference that enumerates its roots.  The grid solver instead
-works on the whole grid at once in mc = m + (1 - 1/c)/z, where it reads
+works on the whole grid at once in u = m + a/z, the transform of the
+continuous part, where a = max(0, 1 - 1/c) is the zero atom's mass and
+u = m for c <= 1.  With b = 1 - 1/c - a (0 for c >= 1) it reads
 
-    G(mc) = z mc - (1 - 1/c) + sum_i w_i / (1 + c t_i mc) = 0
+    G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)) = 0
 
-and has exactly one root with Im mc > 0.  Newton runs on all grid points
-together while Im z steps down from the far field to eta by a factor of
-0.03 per level; a point whose root then fails the acceptance test raises
-SolverError.  Each level starts from a predictor: the root of the level
-above moved along its tangent dmc/dz = -mc/G'(mc), with the G' that
-Newton formed on its last step, or the root itself where that prediction
-is not finite or leaves Im mc > 0.  A level above eta only supplies the
-start of the next, so it is solved to a relative step of 1e-4, and only
-on a subgrid: one grid point per bin of width 2 Im z, plus the last
+and has exactly one root with Im u > 0; no term of G grows like 1/c.
+Newton runs on all grid points together while Im z steps down from the
+far field to eta by a factor of 0.03 per level, each level starting from
+the root above moved along its tangent; a point whose root then fails
+the acceptance test raises SolverError.  A level above eta only supplies
+the start of the next, so it is solved to a relative step of 1e-4 and
+only on a subgrid: one grid point per bin of width 2 Im z plus the last
 point, with its roots and slopes interpolated linearly onto the rest.
-At those heights m is smooth on the scale of Im z, so the curves move
-by at most 2.1e-14 of their maximum (6e-16 on the benchmark scenarios),
-and the benchmark's predictions take ~43% fewer atom-point evaluations.
-Only the level at eta solves every point, to 1e-14.  The boundary
-density is recovered from the imaginary part on the grid.
+At those heights m is smooth on the scale of Im z, so the curves move by
+at most 2.1e-14 of their maximum (6e-16 on the benchmark scenarios) and
+the benchmark's predictions take ~43% fewer atom-point evaluations.  Only
+the level at eta solves every point, to 1e-14; the density is Im u/pi.
 """
 
 from __future__ import annotations
@@ -105,54 +104,55 @@ def polynomial_coefficients(p: FmcProblem, z: complex) -> np.ndarray:
     return coeffs
 
 
-def _newton(ct, w, z0, z, mc, tol=_NEWTON_TOL, slope=None):
-    """Newton on G(mc) = z mc - z0 + sum_i w_i / (1 + c t_i mc), one root per z.
+def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
+    """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
-    ct = c t and w are (atoms, 1) columns; z and mc are 1-D.  Each step
-    takes G and the atoms x points array 1 / (1 + c t_i mc) from _g,
-    squares that array in place and takes
-    G' = z - sum_i c t_i w_i / (1 + c t_i mc)^2 as one more matrix
-    product.  A step that would take Im mc from positive to
+    ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
+    once per call.  Each step takes G and the atoms x points array
+    1 / (1 + c t_i (u + b/z)) from _g, squares that array in place and
+    takes G' = z - sum_i c t_i w_i / (1 + c t_i (u + b/z))^2 as one more
+    matrix product.  A step that would take Im u from positive to
     nonpositive is halved until it does not, so an iterate never leaves
     the half plane that holds the root.  A point stops once its step is
-    at most tol relative to max(1, |mc|).  If given, slope receives each
+    at most tol relative to max(1, |u|).  If given, slope receives each
     point's G' from its last step.
     """
-    mc = np.array(mc, dtype=complex)
+    u = np.array(u, dtype=complex)
+    shift = b / z if b else None
     w_row, ctw_row = w.T, (ct * w).T
-    todo = np.arange(len(mc))
+    todo = np.arange(len(u))
     for _ in range(_NEWTON_MAX_ITER):
-        zi, mi = z[todo], mc[todo]
-        g, t = _g(ct, w_row, z0, zi, mi)
+        zi, ui = z[todo], u[todo]
+        g, t = _g(ct, w_row, a, zi, ui, ui if shift is None else ui + shift[todo])
         t *= t
         dg = zi - _row_times(ctw_row, t)
         if slope is not None:
             slope[todo] = dg
         step = g / dg
-        new = mi - step
+        new = ui - step
         for _ in range(_MAX_HALVINGS):
-            low = (new.imag <= 0) & (mi.imag > 0)
+            low = (new.imag <= 0) & (ui.imag > 0)
             if not low.any():
                 break
             step[low] *= 0.5
-            new[low] = mi[low] - step[low]
-        mc[todo] = new
+            new[low] = ui[low] - step[low]
+        u[todo] = new
         todo = todo[np.abs(step) > tol * np.maximum(1.0, np.abs(new))]
         if not len(todo):
             break
-    return mc
+    return u
 
 
-def _g(ct, w_row, z0, z, mc):
-    """G(mc) and the atoms x points array 1 / (1 + c t_i mc) it was summed from.
+def _g(ct, w_row, a, z, u, v):
+    """G(u) and the atoms x points array 1 / (1 + c t_i v) it was summed from, v = u + b/z.
 
     The array is built once and inverted in place; its weighted atom sum
     is one matrix product with the (1, atoms) row w_row.
     """
-    t = ct * mc
+    t = ct * v
     t += 1
     np.reciprocal(t, out=t)
-    return z * mc - z0 + _row_times(w_row, t), t
+    return z * u - a + _row_times(w_row, t), t
 
 
 def _row_times(row, t):
@@ -163,51 +163,54 @@ def _row_times(row, t):
     return (row @ t.view(float)).view(complex)[0]
 
 
-def _admissible(ct, w, z0, z, mc):
-    """Im m > 0, Im mc > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10.
+def _admissible(ct, w, a, b, z, u):
+    """Im u > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10, m = u - a/z.
 
-    With m = mc - z0/z the raw residual m - map(m) equals G(mc)/z.  G has
-    one root with Im mc > 0, so requiring it makes the accepted root
-    unique; for c > 1, Im m > 0 alone also admits a root with Im mc < 0.
+    The raw residual m - map(m) equals G(u)/z.  G has one root with
+    Im u > 0, so the accepted root is unique; as Im(-a/z) >= 0 and
+    Im(b/z) >= 0, it also has Im m > 0 and Im(m + (1 - 1/c)/z) > 0.
     """
-    m = mc - z0 / z
-    g, _ = _g(ct, w.T, z0, z, mc)
+    m = u - a / z
+    g, _ = _g(ct, w.T, a, z, u, u + b / z)
     residual = np.abs(g / z) / np.maximum(1.0, np.abs(m))
-    return (m.imag > 0) & (mc.imag > 0) & (residual <= _RESIDUAL_TOL), residual
+    return (u.imag > 0) & (residual <= _RESIDUAL_TOL), residual
 
 
-def _continue(ct, w, z0, x, eta, top):
+def _continue(ct, w, a, b, x, eta, top):
     """Roots at x + i eta, reached by Newton at Im z = 0.03 top, 0.03^2 top, ..., eta.
 
-    The first level starts from the far-field value mc = -(1 - z0)/z at
+    The first level starts from the far-field value u = -(1 - a)/z at
     Im z = top, i.e. m = -1/z.  Every later level starts from a tangent
     prediction: with G' the derivative Newton formed on its last step at
-    the level above, dmc/dz = -mc/G', so the start is
-    mc - (mc/G') i (h_new - h).  Where that is not finite or has
-    Im mc <= 0, the level starts from the root above instead.  The levels
-    above eta only have to land the next start near its root, so they
-    stop at a relative step of _LEVEL_TOL, and each solves only a
-    subgrid: the first x of every bin floor(x / (_BIN_WIDTH h)) plus the
-    last x.  Their roots and slopes G' are interpolated linearly in x
-    (real and imaginary parts apart) onto the whole block: m(x + i h) is
-    smooth on the scale h, so those make starts about as good as solved
-    roots would.  Where the bins are narrower than the grid spacing every
-    point is its own bin, so the low levels and a graded or non-uniform
-    grid take the same path.  The level at eta solves every point to
-    _NEWTON_TOL.
+    the level above, du/dz = b/z^2 - (u + b/z)/G' (-u/G' for c >= 1), so
+    the start is u + du/dz i (h_new - h), or the root above where that is
+    not finite or has Im u <= 0.  The levels above eta only have to land
+    the next start near its root, so they stop at a relative step of
+    _LEVEL_TOL, and each solves only a subgrid: the first x of every bin
+    floor(x / (_BIN_WIDTH h)) plus the last x.  Their roots and slopes G'
+    are interpolated linearly in x (real and imaginary parts apart) onto
+    the whole block: m(x + i h) is smooth on the scale h, so those make
+    starts about as good as solved roots would.  Where the bins are
+    narrower than the grid spacing every point is its own bin, so the low
+    levels and a graded or non-uniform grid take the same path.  The level
+    at eta solves every point to _NEWTON_TOL.
     """
     h = max(top, eta)
-    mc = -(1 - z0) / (x + 1j * h)
+    u = -(1 - a) / (x + 1j * h)
     slope = None
     while True:
         lower = max(eta, _ETA_RATIO * h)
         if slope is not None:
             with np.errstate(all="ignore"):
-                guess = mc - mc / slope * (1j * (lower - h))
-            mc = np.where(np.isfinite(guess) & (guess.imag > 0), guess, mc)
+                if b:  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
+                    shift = b / (x + 1j * h)
+                    guess = u + (shift / (x + 1j * h) - (u + shift) / slope) * (1j * (lower - h))
+                else:  # b = 0: skip the b terms' per-point work
+                    guess = u - u / slope * (1j * (lower - h))
+            u = np.where(np.isfinite(guess) & (guess.imag > 0), guess, u)
         h = lower
         if h == eta:
-            return _newton(ct, w, z0, x + 1j * h, mc)
+            return _newton(ct, w, a, b, x + 1j * h, u)
         with np.errstate(over="ignore", invalid="ignore"):
             # below h ~ 1e-308 the bin numbers overflow to inf and their steps
             # to nan, which still makes every point its own bin
@@ -216,8 +219,8 @@ def _continue(ct, w, z0, x, eta, top):
         sub = np.flatnonzero(first)
         xs = x[sub]
         slope = np.empty(len(sub), dtype=complex)
-        roots = _newton(ct, w, z0, xs + 1j * h, mc[sub], _LEVEL_TOL, slope)
-        mc, slope = _spread(x, xs, roots), _spread(x, xs, slope)
+        roots = _newton(ct, w, a, b, xs + 1j * h, u[sub], _LEVEL_TOL, slope)
+        u, slope = _spread(x, xs, roots), _spread(x, xs, slope)
 
 
 def _spread(x, xs, v):
@@ -228,28 +231,32 @@ def _spread(x, xs, v):
     return out
 
 
+def _columns(p: FmcProblem):
+    """ct = c t and w as (atoms, 1) columns, a = p.zero_mass and b = 1 - 1/c - a."""
+    a = p.zero_mass
+    return p.c * p.measure.locations[:, None], p.measure.weights[:, None], a, 1 - 1 / p.c - a
+
+
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
-    """Roots mc = m + (1 - 1/c)/z at z = x + i eta for every x.
+    """Roots u = m + a/z at z = x + i eta for every x.
 
     Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
     eta continuation.  If a root fails the acceptance test, SolverError
     names the first such point's z and residual.
     """
-    ct = p.c * p.measure.locations[:, None]
-    w = p.measure.weights[:, None]
-    z0 = 1 - 1 / p.c
+    ct, w, a, b = _columns(p)
     top = max(10.0, 2 * float(x[-1]))
     size = max(1, _BLOCK_ELEMENTS // len(p.measure.atoms))
     out = np.empty(len(x), dtype=complex)
     for lo in range(0, len(x), size):
         xb = x[lo : lo + size]
         z = xb + 1j * eta
-        mc = _continue(ct, w, z0, xb, eta, top)
-        ok, residual = _admissible(ct, w, z0, z, mc)
+        u = _continue(ct, w, a, b, xb, eta, top)
+        ok, residual = _admissible(ct, w, a, b, z, u)
         if not ok.all():
             j = np.flatnonzero(~ok)[0]
             raise SolverError(complex(z[j]), float(residual[j]))
-        out[lo : lo + size] = mc
+        out[lo : lo + size] = u
     return out
 
 
@@ -267,8 +274,8 @@ def stieltjes_at(p: FmcProblem, z: complex) -> complex:
     a root that fails the acceptance test raises SolverError.
     """
     z = _upper_half_plane(z)
-    mc = _solve(p, np.array([z.real]), z.imag)[0]
-    return complex(mc - (1 - 1 / p.c) / z)
+    u = _solve(p, np.array([z.real]), z.imag)[0]
+    return complex(u - p.zero_mass / z)
 
 
 def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
@@ -280,16 +287,14 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
     this; z must be finite with Im z > 0.
     """
     z = _upper_half_plane(z)
-    ct = p.c * p.measure.locations[:, None]
-    w = p.measure.weights[:, None]
-    z0 = 1 - 1 / p.c
+    ct, w, a, b = _columns(p)
     roots = poly_roots(polynomial_coefficients(p, z))
     zs = np.full(len(roots), z)
-    mc = _newton(ct, w, z0, zs, roots + z0 / z)
-    ok, residual = _admissible(ct, w, z0, zs, mc)
+    u = _newton(ct, w, a, b, zs, roots + a / z)
+    ok, residual = _admissible(ct, w, a, b, zs, u)
     if not ok.any():
         raise SolverError(z, float(np.fmin.reduce(residual)))
-    return complex(mc[ok][np.argmin(residual[ok])] - z0 / z)
+    return complex(u[ok][np.argmin(residual[ok])] - a / z)
 
 
 def _check_grid(grid) -> np.ndarray:
@@ -335,28 +340,23 @@ class SpectralDensity:
 
 
 def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> SpectralDensity:
-    """Boundary density of the continuous part, Im m(x + i eta)/pi, along a grid.
+    """Density of the continuous part, Im u(x + i eta)/pi, along a grid.
 
-    All grid points are solved together by predictor-corrector Newton
-    continuation in Im z, from max(10, 2 x_max) down to eta by factors of
-    0.03; each level above eta solves one grid point per bin of width
-    2 Im z and interpolates the rest, and the level at eta solves every
-    point.  Grid points and eta must be finite.  For c > 1 the zero atom's
-    pole is subtracted (the samples are Im mc/pi), so they describe only
-    the continuous part.  A point that fails the acceptance test raises
-    SolverError; as mc holds m + (1 - 1/c)/z, rounding alone leaves a
-    residual near 1e-16/(c |z|), which fails the 1e-10 bound below c ~ 3e-6.
+    u = m + a/z is m itself for c <= 1 and m without the zero atom's pole
+    for c > 1.  All grid points are solved together by predictor-corrector
+    Newton continuation in Im z, from max(10, 2 x_max) down to eta by
+    factors of 0.03; each level above eta solves one grid point per bin of
+    width 2 Im z and interpolates the rest, and the level at eta solves
+    every point.  Grid points and eta must be finite; a point that fails
+    the acceptance test raises SolverError.
     """
     grid = _check_grid(grid)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
     if p.c >= 1 and grid[0] <= 0:
         raise ValueError("grid points must be > 0 for c >= 1 (zero atom is separate)")
-    mc = _solve(p, grid, eta)
-    if p.c <= 1:
-        # no zero atom: the density is Im m, and Im(mc - m) is not negligible
-        mc = mc - (1 - 1 / p.c) / (grid + 1j * eta)
-    return SpectralDensity(grid=grid, values=mc.imag / math.pi, zero_mass=p.zero_mass, eta=eta)
+    u = _solve(p, grid, eta)
+    return SpectralDensity(grid=grid, values=u.imag / math.pi, zero_mass=p.zero_mass, eta=eta)
 
 
 def default_grid(p: FmcProblem, points: int) -> np.ndarray:

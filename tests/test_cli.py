@@ -185,6 +185,93 @@ def test_bad_out_fails_before_any_computation(capsys, monkeypatch):
     assert err.startswith("isoedf: invalid input: ")
 
 
+def test_c_whose_snapshot_count_overflows_is_a_usage_error(capsys):
+    # n / c = 1.2e321 is inf, which no snapshot count can round to
+    code, out, err = run_cli(capsys, "atoms", "--n", 12, "--c", 1e-320)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("isoedf: invalid input: --c 1e-320 ")
+
+
+def run_into(path, *argv):
+    """Exit code of the CLI writing to --out path, also when argparse exits."""
+    try:
+        return main([str(a) for a in argv] + ["--out", str(path)])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--c", 0], [], ["--c", 0.5, "--grid-points", 8]],
+    ids=["c-zero", "no-c", "few-points"],
+)
+def test_refused_run_leaves_an_existing_out_file_unchanged(capsys, tmp_path, argv):
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"# earlier run\nx,f\n")
+    assert run_into(path, "predict", "--n", 12, *argv) == 2
+    assert path.read_bytes() == b"# earlier run\nx,f\n"
+
+
+def test_numeric_failure_leaves_an_existing_out_file_unchanged(capsys, tmp_path, monkeypatch):
+    def no_root(*args, **kwargs):
+        raise SolverError(0.5 + 1e-6j, 3e-10)
+
+    monkeypatch.setattr("isoedf.cli.predict_edf", no_root)
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"# earlier run\nx,f\n")
+    assert run_into(path, "predict", "--n", 12, "--c", 0.5) == 1
+    assert path.read_bytes() == b"# earlier run\nx,f\n"
+
+
+def test_successful_run_replaces_a_longer_out_file(capsys, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("stale\n" * 1000)
+    assert run_into(path, "atoms", "--n", 12, "--c", 0.5) == 0
+    capsys.readouterr()
+    assert run_cli(capsys, "atoms", "--n", 12, "--c", 0.5)[1] == path.read_text()
+
+
+def run_out_subprocess(out, stdout=subprocess.PIPE):
+    """The CLI's `atoms` run in a fresh interpreter, writing to --out."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "isoedf.cli", "atoms", "--n", "12", "--c", "0.5", "--out", out],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_out_to_dev_stdout_writes_to_the_pipe():
+    # /dev/stdout is then a pipe, which cannot be truncated
+    proc = run_out_subprocess("/dev/stdout")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.splitlines()[1] == b"location,weight"
+
+
+@pytest.mark.parametrize(
+    "out", ["/dev/null", "/dev/stdout"], ids=["dev-null", "dev-stdout-to-dev-null"]
+)
+def test_out_to_a_character_device_succeeds(out):
+    # a device is seekable but cannot be truncated
+    proc = run_out_subprocess(out, stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
+def test_out_to_dev_stdout_on_a_longer_file_replaces_it(tmp_path):
+    # stdout opened without truncation onto a longer file, which is regular
+    path = tmp_path / "p.csv"
+    path.write_text("stale\n" * 1000)
+    with open(path, "r+") as f:
+        proc = run_out_subprocess("/dev/stdout", stdout=f)
+    assert proc.returncode == 0 and proc.stderr == b""
+    text = path.read_text()
+    assert text.splitlines()[1] == "location,weight" and "stale" not in text
+
+
 def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     # whether a huge allocation is refused depends on the host, so raise it here
     def no_memory(mc):
@@ -200,10 +287,11 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
 
 def test_numeric_failure_prints_one_stderr_line():
     # a subprocess, because pytest captures the warnings a solver might emit;
-    # at c = 1e-6 rounding puts some residual above the 1e-10 bound
+    # at c = 1e300 the continuous part has mass 1e-300, so its transform
+    # underflows to 0 and no root with Im u > 0 is found
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "51", "--c", "1e-6",
+        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "51", "--c", "1e300",
          "--grid-points", "200"],
         capture_output=True,
         env=env,

@@ -149,6 +149,14 @@ class TestPolyRoots:
         # (z - 2)(z - 3)(z - 5) = z^3 - 10 z^2 + 31 z - 30
         assert_multisets_close(poly_roots([-30.0, 31.0, -10.0, 1.0]), [2.0, 3.0, 5.0], 1e-8)
 
+    def test_strided_views(self):
+        # (z - 2)(z - 3)(z - 5), ascending, given as a reversed and as a strided view
+        desc = np.array([1.0, -10.0, 31.0, -30.0], dtype=complex)
+        spaced = np.zeros(8, dtype=complex)
+        spaced[::2] = desc[::-1]
+        for coeffs in (desc[::-1], spaced[::2]):
+            assert_multisets_close(poly_roots(coeffs), [2.0, 3.0, 5.0], 1e-8)
+
     def test_trailing_zero_trim(self):
         assert_multisets_close(poly_roots([6.0, 5.0, 1.0, 0.0, 0.0]), [-2.0, -3.0], 1e-10)
 
@@ -186,3 +194,17 @@ class TestPolyRoots:
         coeffs[where] = bad
         with pytest.raises(ValueError, match="coefficients must be finite"):
             poly_roots(coeffs)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_subnormal_leading_coefficient(self, degree):
+        # 1 / 2^-1060 overflows, so dividing by the leading coefficient alone
+        # used to warn and hand the companion QR a matrix of infinities
+        coeffs = np.zeros(degree + 1)
+        coeffs[0], coeffs[-1] = -(2.0**-1000), 2.0**-1060
+        expected = 2.0 ** (60 / degree) * np.exp(2j * np.pi * np.arange(degree) / degree)
+        assert_multisets_close(poly_roots(coeffs), expected, 1e-12 * 2.0 ** (60 / degree))
+
+    def test_monic_overflow_names_the_degree(self):
+        # the monic constant term would be 1e320, past the largest float
+        with pytest.raises(NumericError, match="degree-2 polynomial overflow"):
+            poly_roots([1.0, 0.0, 1e-320])

@@ -364,7 +364,7 @@ class TestBranchSelection:
         import isoedf.rmt as rmt
         from isoedf import SolverError
 
-        # for c > 1, G(mc) also has a root with Im m > 0 but Im mc < 0;
+        # for c > 1, G(u) also has a root with Im m > 0 but Im u < 0;
         # Newton started near it at z itself lands on it
         p = FmcProblem(
             measure=measure_from(
@@ -377,16 +377,16 @@ class TestBranchSelection:
         cold = stieltjes_at(p, z)
         wrong = []
 
-        def wrong_branch(ct, w, z0, x, eta, top):
+        def wrong_branch(ct, w, a, b, x, eta, top):
             zs = x + 1j * eta
-            wrong.append(rmt._newton(ct, w, z0, zs, -13.44 + 0.4668j + z0 / zs))
+            wrong.append(rmt._newton(ct, w, a, b, zs, -13.44 + 0.4668j + a / zs))
             return wrong[-1].copy()
 
         monkeypatch.setattr(rmt, "_continue", wrong_branch)
         with pytest.raises(SolverError) as err:
             stieltjes_at(p, z)
         assert wrong[0][0].imag < 0
-        # the residual passes: Im mc <= 0 alone rejects the wrong root
+        # the residual passes: Im u <= 0 alone rejects the wrong root
         assert err.value.residual <= 1e-10
         assert cold == pytest.approx(-12.042 + 0.471j, abs=1e-3)
         assert stieltjes_by_enumeration(p, z) == pytest.approx(cold, abs=1e-12)
@@ -493,6 +493,43 @@ class TestContinuationSchedule:
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
 
 
+class TestSmallAspectRatio:
+    """Small c: G(u) has no term of size 1/c that rounding could cancel."""
+
+    @pytest.mark.parametrize(
+        "n, c",
+        [(12, 2e-6), (51, 1e-6), (256, 1e-7), (1024, 1e-8), (12, 1e-100), (51, 1e-200)],
+    )
+    def test_reduced_predictions(self, n, c):
+        from isoedf import ArrayNoiseConfig
+
+        values = predict_edf(ArrayNoiseConfig(n=n), c).density.values
+        assert np.all(np.isfinite(values)) and np.all(values >= 0)
+        assert values.max() > 0
+
+    def test_density_equals_enumeration_across_the_top_band(self):
+        from isoedf import ArrayNoiseConfig, classify, ensemble_spectrum, reduce
+
+        c = 2e-6
+        p = FmcProblem(measure=reduce(classify(ensemble_spectrum(ArrayNoiseConfig(n=12)), c)), c=c)
+        t = p.measure.locations[-1]
+        grid = np.linspace(t * (1 - math.sqrt(c)) ** 2, t * (1 + math.sqrt(c)) ** 2, 40)
+        d = density_curve(p, grid)
+        ref = [stieltjes_by_enumeration(p, complex(x, d.eta)) for x in grid]
+        atol = 1e-12 * max(1.0, d.values.max())
+        np.testing.assert_allclose(d.values, np.imag(ref) / math.pi, rtol=0, atol=atol)
+
+    def test_enumeration_with_a_subnormal_leading_coefficient(self, spectrum51):
+        from isoedf import classify, reduce
+
+        # the leading coefficient is 1.3e-318 and the largest 2.2e-25
+        p = FmcProblem(measure=reduce(classify(spectrum51, 1e-6)), c=1e-6)
+        z = 0.5 + 1e-6j
+        assert abs(polynomial_coefficients(p, z)[-1]) < 1e-300
+        m = stieltjes_at(p, z)
+        assert stieltjes_by_enumeration(p, z) == pytest.approx(m, rel=1e-12)
+
+
 def support_edges(p):
     """Support edges: z(u) at the real critical points of
     z(u) = -1/u + c sum_i w_i t_i / (1 + t_i u), u the companion transform
@@ -533,12 +570,11 @@ class TestSupportEdges:
     def check_edges(p, edges):
         offsets = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
         grid = np.unique(np.outer(edges, 1 + offsets))
-        z0 = 1 - 1 / p.c
         for eta in (1e-6, 1e-9):
             d = density_curve(p, grid, eta)
-            ref = [stieltjes_by_enumeration(p, complex(x, eta)) for x in grid]
-            if p.c > 1:  # the samples are Im mc/pi, without the zero atom's pole
-                ref = [m + z0 / complex(x, eta) for m, x in zip(ref, grid)]
+            # the samples are Im u/pi, u = m + a/z without the zero atom's pole
+            z = grid + 1j * eta
+            ref = [stieltjes_by_enumeration(p, zi) + p.zero_mass / zi for zi in z]
             atol = 1e-10 * max(1.0, d.values.max())
             np.testing.assert_allclose(d.values, np.imag(ref) / math.pi, rtol=0, atol=atol)
 

@@ -30,22 +30,23 @@ MODEL_SWEEP = [(n, c, "reduced") for n in (51, 256, 1024) for c in (0.25, 1.0, 1
 FULL = [s for s in MODEL_SWEEP if s[2] == "full"]
 
 
-def every_point_continue(ct, w, z0, x, eta, top):
+def every_point_continue(ct, w, a, b, x, eta, top):
     """The continuation with every level solved at every point."""
     h = max(top, eta)
-    mc = -(1 - z0) / (x + 1j * h)
+    u = -(1 - a) / (x + 1j * h)
     slope = None
     while True:
         lower = max(eta, rmt._ETA_RATIO * h)
         if slope is not None:
+            z, shift = x + 1j * h, b / (x + 1j * h)
             with np.errstate(all="ignore"):
-                guess = mc - mc / slope * (1j * (lower - h))
-            mc = np.where(np.isfinite(guess) & (guess.imag > 0), guess, mc)
+                guess = u + (shift / z - (u + shift) / slope) * (1j * (lower - h))
+            u = np.where(np.isfinite(guess) & (guess.imag > 0), guess, u)
         h = lower
         if h == eta:
-            return rmt._newton(ct, w, z0, x + 1j * h, mc)
-        slope = np.empty_like(mc)
-        mc = rmt._newton(ct, w, z0, x + 1j * h, mc, rmt._LEVEL_TOL, slope)
+            return rmt._newton(ct, w, a, b, x + 1j * h, u)
+        slope = np.empty_like(u)
+        u = rmt._newton(ct, w, a, b, x + 1j * h, u, rmt._LEVEL_TOL, slope)
 
 
 @pytest.fixture
@@ -134,13 +135,13 @@ def newton_effort(monkeypatch, n, c, mode, continue_):
     total = [0]
     real_g, real_newton = rmt._g, rmt._newton
 
-    def counting_g(ct, w_row, z0, z, mc):
+    def counting_g(ct, w_row, a, z, u, v):
         total[0] += len(z) * len(ct)
-        return real_g(ct, w_row, z0, z, mc)
+        return real_g(ct, w_row, a, z, u, v)
 
-    def per_level(ct, w, z0, z, mc, *args):
+    def per_level(ct, w, a, b, z, u, *args):
         before = total[0]
-        out = real_newton(ct, w, z0, z, mc, *args)
+        out = real_newton(ct, w, a, b, z, u, *args)
         level = levels[float(z[0].imag)]
         level[0] += total[0] - before
         level[1] += len(z)
@@ -184,9 +185,9 @@ def test_bins_narrower_than_the_spacing_keep_every_point(monkeypatch):
     solved = []
     real_newton = rmt._newton
 
-    def recording(ct, w, z0, z, mc, *args):
+    def recording(ct, w, a, b, z, u, *args):
         solved.append(len(z))
-        return real_newton(ct, w, z0, z, mc, *args)
+        return real_newton(ct, w, a, b, z, u, *args)
 
     monkeypatch.setattr(rmt, "_newton", recording)
     density_curve(unit_atom(0.5), np.linspace(0.1, 10.0, 8), 1e-6)
