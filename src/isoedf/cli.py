@@ -9,7 +9,8 @@ Exit codes: 0 success (also when the reader closes the output pipe early),
 2 usage error or invalid input, 1 numeric failure or out of memory.  Input checks live in
 the library constructors and functions; their ValueError exits 2, and so
 does an OSError from opening --out, which happens before any computation.
-A run that exits non-zero leaves an existing --out file as it was.
+A run that exits non-zero leaves an existing --out file as it was and
+removes one that it created.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import stat
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .ecm import ArrayNoiseConfig, check_int, ensemble_spectrum
 from .linalg import NumericError
@@ -46,6 +47,25 @@ def _write(out, header, columns=None, rows=()):
     print(columns, file=out)
     for row in rows:
         print(",".join(map(_fmt, row)), file=out)
+
+
+@contextmanager
+def _output(path):
+    """stdout, or path opened for append; if the run fails, a file this created is removed."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        out, created = open(path, "x"), True
+    except FileExistsError:
+        out, created = open(path, "a"), False
+    try:
+        with out:
+            yield out
+    except BaseException:  # also argparse's SystemExit from a usage error
+        if created:
+            os.remove(path)
+        raise
 
 
 def _resolve_c_and_l(args, parser) -> tuple[float, int]:
@@ -235,7 +255,7 @@ def main(argv=None) -> int:
     try:
         # --out is opened first, so a bad path fails before any computation, and
         # for append, so it is emptied only once the subcommand has succeeded
-        with open(args.out, "a") if args.out else nullcontext(sys.stdout) as out:
+        with _output(args.out) as out:
             if hasattr(args, "c"):
                 args.c, args.snapshots = _resolve_c_and_l(args, parser)
             result = args.func(args, ArrayNoiseConfig(n=args.n, zeta=args.zeta))

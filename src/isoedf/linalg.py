@@ -9,6 +9,8 @@ NumericError where LAPACK fails.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _POLISH_MAX_STEP = 1e-6  # relative Newton step beyond which a root is left as is
@@ -53,11 +55,15 @@ def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a complex Hermitian matrix, sorted descending.
 
-    Rejects inputs whose Hermitian defect exceeds 1e-10 relative to the
-    Frobenius norm.
+    Rejects inputs whose Hermitian defect ||a^H - a||_F exceeds 1e-10
+    relative to ||a||_F.  The check makes one temporary, a^H - a laid out
+    as a, and takes both norms as square roots of vdot sums.
     """
     a = _square(a, complex)
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(np.linalg.norm(a), np.finfo(float).tiny):
+    defect = np.conjugate(a.T, order="C")
+    defect -= a
+    frobenius = math.sqrt(np.vdot(a, a).real)
+    if math.sqrt(np.vdot(defect, defect).real) > 1e-10 * max(frobenius, np.finfo(float).tiny):
         raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")
     return _lapack(np.linalg.eigvalsh, a, "Hermitian eigensolver")[::-1].copy()
 

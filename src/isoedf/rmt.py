@@ -18,15 +18,19 @@ u = m for c <= 1.  With b = 1 - 1/c - a (0 for c >= 1) it reads
 and has exactly one root with Im u > 0; no term of G grows like 1/c.
 Newton runs on all grid points together while Im z steps down from the
 far field to eta by a factor of 0.03 per level, each level starting from
-the root above moved along its tangent; a point whose root then fails
-the acceptance test raises SolverError.  A level above eta only supplies
+the root above moved along its tangent.  A level above eta only supplies
 the start of the next, so it is solved to a relative step of 1e-4 and
 only on a subgrid: one grid point per bin of width 2 Im z plus the last
 point, with its roots and slopes interpolated linearly onto the rest.
-At those heights m is smooth on the scale of Im z, so the curves move by
-at most 2.1e-14 of their maximum (6e-16 on the benchmark scenarios) and
-the benchmark's predictions take ~43% fewer atom-point evaluations.  Only
-the level at eta solves every point, to 1e-14; the density is Im u/pi.
+A solved point whose start was already within 1e-4 of its root takes no
+further level: it moves along its tangent straight to eta.  At those
+heights m is smooth on the scale of Im z, so against solving every point
+at every level the curves move by at most 4.3e-14 of their maximum
+(3.8e-15 on the benchmark scenarios).  Every point is solved at eta, to
+a relative step of 1e-14, and the last Newton sweep is the acceptance
+test: the iterate at which G was last evaluated is returned with that G,
+and a point whose root has Im u <= 0 or a residual above 1e-10 raises
+SolverError.  The density is Im u/pi.
 """
 
 from __future__ import annotations
@@ -54,15 +58,21 @@ _BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
 
 
 class SolverError(RuntimeError):
-    """No admissible Stieltjes branch root was found at a point."""
+    """A root failed the acceptance test: Im u > 0 and residual <= 1e-10.
 
-    def __init__(self, z: complex, residual: float):
+    The message names the test, or both tests, that the root at z failed.
+    """
+
+    def __init__(self, z: complex, residual: float, im_u: float):
         self.z = z
         self.residual = residual
-        super().__init__(
-            f"no Herglotz root with acceptable residual at z = {z} "
-            f"(best residual {residual:.3e})"
-        )
+        self.im_u = im_u
+        failed = []
+        if not im_u > 0:
+            failed.append(f"Im u = {im_u:.3e} <= 0")
+        if not residual <= _RESIDUAL_TOL:
+            failed.append(f"residual {residual:.3e} > {_RESIDUAL_TOL:g}")
+        super().__init__(f"no admissible root at z = {z}: {' and '.join(failed)}")
 
 
 @dataclass(frozen=True)
@@ -116,14 +126,22 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
     the half plane that holds the root.  A point stops once its step is
     at most tol relative to max(1, |u|).  If given, slope receives each
     point's G' from its last step.
+
+    Returns the corrected roots u - step, and the iterates at which G was
+    last evaluated together with that G: the acceptance test runs on
+    those, so it needs no further evaluation of G.  They lie within one
+    final step, at most tol relative, of the corrected roots; a point
+    that runs out of iterations returns its last evaluated iterate too.
     """
     u = np.array(u, dtype=complex)
+    at, g_at = np.empty_like(u), np.empty_like(u)
     shift = b / z if b else None
     w_row, ctw_row = w.T, (ct * w).T
     todo = np.arange(len(u))
     for _ in range(_NEWTON_MAX_ITER):
         zi, ui = z[todo], u[todo]
         g, t = _g(ct, w_row, a, zi, ui, ui if shift is None else ui + shift[todo])
+        at[todo], g_at[todo] = ui, g
         t *= t
         dg = zi - _row_times(ctw_row, t)
         if slope is not None:
@@ -140,7 +158,7 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
         todo = todo[np.abs(step) > tol * np.maximum(1.0, np.abs(new))]
         if not len(todo):
             break
-    return u
+    return u, at, g_at
 
 
 def _g(ct, w_row, a, z, u, v):
@@ -163,16 +181,15 @@ def _row_times(row, t):
     return (row @ t.view(float)).view(complex)[0]
 
 
-def _admissible(ct, w, a, b, z, u):
+def _accepted(a, z, u, g):
     """Im u > 0 and raw residual |m - map(m)| / max(1, |m|) <= 1e-10, m = u - a/z.
 
-    The raw residual m - map(m) equals G(u)/z.  G has one root with
-    Im u > 0, so the accepted root is unique; as Im(-a/z) >= 0 and
-    Im(b/z) >= 0, it also has Im m > 0 and Im(m + (1 - 1/c)/z) > 0.
+    g is G(u) as Newton evaluated it at u, and the raw residual m - map(m)
+    equals G(u)/z.  G has one root with Im u > 0, so the accepted root is
+    unique; as Im(-a/z) >= 0 and Im(b/z) >= 0, it also has Im m > 0 and
+    Im(m + (1 - 1/c)/z) > 0.
     """
-    m = u - a / z
-    g, _ = _g(ct, w.T, a, z, u, u + b / z)
-    residual = np.abs(g / z) / np.maximum(1.0, np.abs(m))
+    residual = np.abs(g / z) / np.maximum(1.0, np.abs(u - a / z))
     return (u.imag > 0) & (residual <= _RESIDUAL_TOL), residual
 
 
@@ -180,47 +197,55 @@ def _continue(ct, w, a, b, x, eta, top):
     """Roots at x + i eta, reached by Newton at Im z = 0.03 top, 0.03^2 top, ..., eta.
 
     The first level starts from the far-field value u = -(1 - a)/z at
-    Im z = top, i.e. m = -1/z.  Every later level starts from a tangent
-    prediction: with G' the derivative Newton formed on its last step at
-    the level above, du/dz = b/z^2 - (u + b/z)/G' (-u/G' for c >= 1), so
-    the start is u + du/dz i (h_new - h), or the root above where that is
-    not finite or has Im u <= 0.  The levels above eta only have to land
-    the next start near its root, so they stop at a relative step of
-    _LEVEL_TOL, and each solves only a subgrid: the first x of every bin
-    floor(x / (_BIN_WIDTH h)) plus the last x.  Their roots and slopes G'
-    are interpolated linearly in x (real and imaginary parts apart) onto
-    the whole block: m(x + i h) is smooth on the scale h, so those make
-    starts about as good as solved roots would.  Where the bins are
-    narrower than the grid spacing every point is its own bin, so the low
-    levels and a graded or non-uniform grid take the same path.  The level
-    at eta solves every point to _NEWTON_TOL.
+    Im z = top, i.e. m = -1/z.  Every later start is a tangent prediction:
+    with G' the derivative Newton formed on its last step at the level
+    above, du/dz = b/z^2 - (u + b/z)/G' (-u/G' for c >= 1), so the start
+    is u + du/dz i (h_new - h), or the root above where that is not finite
+    or has Im u <= 0.  The levels above eta only have to land the next
+    start near its root, so they stop at a relative step of _LEVEL_TOL,
+    and each solves only a subgrid of the points still descending: the
+    first x of every bin floor(x / (_BIN_WIDTH h)) plus the last x.  Their
+    roots and slopes G' are interpolated linearly in x (real and imaginary
+    parts apart) onto the other descending points: m(x + i h) is smooth on
+    the scale h, so those make starts about as good as solved roots would.
+    Where the bins are narrower than the grid spacing every point is its
+    own bin, so the low levels and a graded or non-uniform grid take the
+    same path.  A solved point whose start was already within _LEVEL_TOL
+    of its root leaves the descent: after anchoring its level's
+    interpolation, it takes its tangent straight to eta (h_new = eta).
+    The level at eta solves every point to _NEWTON_TOL and returns the
+    iterates at which Newton last evaluated G, and that G.
     """
     h = max(top, eta)
     u = -(1 - a) / (x + 1j * h)
-    slope = None
+    live = np.arange(len(x))  # the points still descending
     while True:
-        lower = max(eta, _ETA_RATIO * h)
-        if slope is not None:
-            with np.errstate(all="ignore"):
-                if b:  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
-                    shift = b / (x + 1j * h)
-                    guess = u + (shift / (x + 1j * h) - (u + shift) / slope) * (1j * (lower - h))
-                else:  # b = 0: skip the b terms' per-point work
-                    guess = u - u / slope * (1j * (lower - h))
-            u = np.where(np.isfinite(guess) & (guess.imag > 0), guess, u)
-        h = lower
-        if h == eta:
-            return _newton(ct, w, a, b, x + 1j * h, u)
+        h = max(eta, _ETA_RATIO * h)
+        if h == eta or not len(live):
+            return _newton(ct, w, a, b, x + 1j * eta, u)[1:]
+        xl = x[live]
         with np.errstate(over="ignore", invalid="ignore"):
             # below h ~ 1e-308 the bin numbers overflow to inf and their steps
             # to nan, which still makes every point its own bin
-            first = np.diff(np.floor(x / (_BIN_WIDTH * h)), prepend=np.nan) != 0
+            first = np.diff(np.floor(xl / (_BIN_WIDTH * h)), prepend=np.nan) != 0
         first[-1] = True
         sub = np.flatnonzero(first)
-        xs = x[sub]
+        xs, start = xl[sub], u[live[sub]]
         slope = np.empty(len(sub), dtype=complex)
-        roots = _newton(ct, w, a, b, xs + 1j * h, u[sub], _LEVEL_TOL, slope)
-        u, slope = _spread(x, xs, roots), _spread(x, xs, slope)
+        roots = _newton(ct, w, a, b, xs + 1j * h, start, _LEVEL_TOL, slope)[0]
+        leave = np.zeros(len(xl), dtype=bool)
+        leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1.0, np.abs(roots))
+        # the next start: at the next level, or at eta for a point that leaves
+        dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
+        ul, slope, z = _spread(xl, xs, roots), _spread(xl, xs, slope), xl + 1j * h
+        with np.errstate(all="ignore"):
+            if b:  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
+                shift = b / z
+                guess = ul + (shift / z - (ul + shift) / slope) * dz
+            else:  # b = 0: skip the b terms' per-point work
+                guess = ul - ul / slope * dz
+        u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
+        live = live[~leave]
 
 
 def _spread(x, xs, v):
@@ -241,8 +266,9 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     """Roots u = m + a/z at z = x + i eta for every x.
 
     Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
-    eta continuation.  If a root fails the acceptance test, SolverError
-    names the first such point's z and residual.
+    eta continuation, whose last Newton sweep gives each root with its
+    G.  If a root fails the acceptance test on those, SolverError names
+    the first such point's z, residual and Im u.
     """
     ct, w, a, b = _columns(p)
     top = max(10.0, 2 * float(x[-1]))
@@ -251,11 +277,11 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     for lo in range(0, len(x), size):
         xb = x[lo : lo + size]
         z = xb + 1j * eta
-        u = _continue(ct, w, a, b, xb, eta, top)
-        ok, residual = _admissible(ct, w, a, b, z, u)
+        u, g = _continue(ct, w, a, b, xb, eta, top)
+        ok, residual = _accepted(a, z, u, g)
         if not ok.all():
             j = np.flatnonzero(~ok)[0]
-            raise SolverError(complex(z[j]), float(residual[j]))
+            raise SolverError(complex(z[j]), float(residual[j]), float(u[j].imag))
         out[lo : lo + size] = u
     return out
 
@@ -290,10 +316,11 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
     ct, w, a, b = _columns(p)
     roots = poly_roots(polynomial_coefficients(p, z))
     zs = np.full(len(roots), z)
-    u = _newton(ct, w, a, b, zs, roots + a / z)
-    ok, residual = _admissible(ct, w, a, b, zs, u)
+    _, u, g = _newton(ct, w, a, b, zs, roots + a / z)
+    ok, residual = _accepted(a, zs, u, g)
     if not ok.any():
-        raise SolverError(z, float(np.fmin.reduce(residual)))
+        j = np.argmin(np.where(np.isnan(residual), np.inf, residual))
+        raise SolverError(z, float(residual[j]), float(u[j].imag))
     return complex(u[ok][np.argmin(residual[ok])] - a / z)
 
 
@@ -345,10 +372,11 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     u = m + a/z is m itself for c <= 1 and m without the zero atom's pole
     for c > 1.  All grid points are solved together by predictor-corrector
     Newton continuation in Im z, from max(10, 2 x_max) down to eta by
-    factors of 0.03; each level above eta solves one grid point per bin of
-    width 2 Im z and interpolates the rest, and the level at eta solves
-    every point.  Grid points and eta must be finite; a point that fails
-    the acceptance test raises SolverError.
+    factors of 0.03.  Each level above eta solves one grid point per bin
+    of width 2 Im z and interpolates the rest; a solved point whose start
+    was already within 1e-4 of its root goes straight to eta.  The level
+    at eta solves every point.  Grid points and eta must be finite; a
+    point whose root fails the acceptance test raises SolverError.
     """
     grid = _check_grid(grid)
     if not 0 < eta < math.inf:

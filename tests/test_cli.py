@@ -216,13 +216,34 @@ def test_refused_run_leaves_an_existing_out_file_unchanged(capsys, tmp_path, arg
 
 def test_numeric_failure_leaves_an_existing_out_file_unchanged(capsys, tmp_path, monkeypatch):
     def no_root(*args, **kwargs):
-        raise SolverError(0.5 + 1e-6j, 3e-10)
+        raise SolverError(0.5 + 1e-6j, 3e-10, 0.25)
 
     monkeypatch.setattr("isoedf.cli.predict_edf", no_root)
     path = tmp_path / "keep.csv"
     path.write_bytes(b"# earlier run\nx,f\n")
     assert run_into(path, "predict", "--n", 12, "--c", 0.5) == 1
     assert path.read_bytes() == b"# earlier run\nx,f\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--c", 0], [], ["--c", 0.5, "--grid-points", 8]],
+    ids=["c-zero", "no-c", "few-points"],
+)
+def test_refused_run_leaves_no_out_file_that_it_created(capsys, tmp_path, argv):
+    path = tmp_path / "new.csv"
+    assert run_into(path, "predict", "--n", 12, *argv) == 2
+    assert not path.exists()
+
+
+def test_numeric_failure_leaves_no_out_file_that_it_created(capsys, tmp_path, monkeypatch):
+    def no_root(*args, **kwargs):
+        raise SolverError(0.5 + 1e-6j, 3e-10, 0.25)
+
+    monkeypatch.setattr("isoedf.cli.predict_edf", no_root)
+    path = tmp_path / "new.csv"
+    assert run_into(path, "predict", "--n", 12, "--c", 0.5) == 1
+    assert not path.exists()
 
 
 def test_successful_run_replaces_a_longer_out_file(capsys, tmp_path):
@@ -306,7 +327,7 @@ def test_numeric_failure_prints_one_stderr_line():
 def test_solver_error_exits_1_with_one_line(capsys, monkeypatch):
     # an exit-1 path that does not depend on which inputs the solver misses
     def no_root(*args, **kwargs):
-        raise SolverError(0.5 + 1e-6j, 3e-10)
+        raise SolverError(0.5 + 1e-6j, 3e-10, 0.25)
 
     monkeypatch.setattr("isoedf.cli.predict_edf", no_root)
     code, out, err = run_cli(capsys, "predict", "--n", 12, "--c", 0.5, "--grid-points", 64)

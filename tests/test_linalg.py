@@ -80,6 +80,28 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @staticmethod
+    def with_defect(ratio):
+        """A 51 x 51 Gram matrix whose Hermitian defect is ratio x 1e-10 of its norm."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((51, 204)) + 1j * rng.standard_normal((51, 204))
+        a = x @ x.conj().T / 204
+        # a + e E_01 has defect ||e E_01 - conj(e) E_10|| = sqrt(2) |e|, and
+        # moves ||a|| by far less than the 1% between the two ratios
+        a[0, 1] += (1 + 1j) / 2 * ratio * 1e-10 * np.linalg.norm(a)
+        defect = np.linalg.norm(a - a.conj().T) / np.linalg.norm(a)
+        assert defect == pytest.approx(ratio * 1e-10, rel=1e-6)
+        return a
+
+    def test_accepts_a_defect_just_below_the_tolerance(self):
+        a = self.with_defect(0.99)
+        vals = hermitian_eigenvalues(a)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-12)
+
+    def test_refuses_a_defect_just_above_the_tolerance(self):
+        with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+            hermitian_eigenvalues(self.with_defect(1.01))
+
 
 class TestSqrtPsd:
     def test_identity(self):

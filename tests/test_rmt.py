@@ -333,30 +333,68 @@ class TestCompanionFallback:
         from isoedf import SolverError
 
         real_continue = rmt._continue
-        monkeypatch.setattr(rmt, "_continue", lambda *args: real_continue(*args) + 0.3)
+
+        def off_the_root(ct, w, a, b, x, eta, top):
+            # roots moved by 0.3, handed on with G evaluated where they now are
+            u = real_continue(ct, w, a, b, x, eta, top)[0] + 0.3
+            z = x + 1j * eta
+            return u, rmt._g(ct, w.T, a, z, u, u + b / z)[0]
+
+        monkeypatch.setattr(rmt, "_continue", off_the_root)
         monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
         grid = default_grid(unit_atom(0.5), 32)
         with pytest.raises(SolverError) as err:
             density_curve(unit_atom(0.5), grid)
         assert err.value.z == complex(grid[0], 1e-6)
         assert err.value.residual > rmt._RESIDUAL_TOL
+        assert err.value.im_u > 0
+        assert str(err.value).endswith(f"residual {err.value.residual:.3e} > 1e-10")
 
 
 def test_enumeration_without_an_admissible_root_raises_solver_error(monkeypatch):
     import isoedf.rmt as rmt
     from isoedf import SolverError
 
-    real_admissible = rmt._admissible
-
-    def reject_all(*args):
-        ok, residual = real_admissible(*args)
-        return np.zeros_like(ok), residual
-
-    monkeypatch.setattr(rmt, "_admissible", reject_all)
+    # only the companion root below the real axis: Newton polishes it to a
+    # true root of G, which the half-plane test alone refuses
+    real_roots = rmt.poly_roots
+    monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: real_roots(coeffs)[:1])
+    assert real_roots(polynomial_coefficients(unit_atom(0.5), 1.0 + 0.5j))[0].imag < 0
     with pytest.raises(SolverError) as err:
         stieltjes_by_enumeration(unit_atom(0.5), 1.0 + 0.5j)
     assert err.value.z == 1.0 + 0.5j
     assert err.value.residual <= rmt._RESIDUAL_TOL  # the best root was fine; it was refused
+    assert str(err.value).endswith(f"Im u = {err.value.im_u:.3e} <= 0")
+
+
+@pytest.mark.parametrize(
+    "residual, im_u, failed",
+    [
+        (3e-10, 0.25, "residual 3.000e-10 > 1e-10"),
+        (0.0, 0.0, "Im u = 0.000e+00 <= 0"),
+        (math.nan, -1.0, "Im u = -1.000e+00 <= 0 and residual nan > 1e-10"),
+    ],
+)
+def test_solver_error_names_the_failed_test(residual, im_u, failed):
+    from isoedf import SolverError
+
+    err = SolverError(0.5 + 1e-6j, residual, im_u)
+    assert (err.z, err.im_u) == (0.5 + 1e-6j, im_u)
+    assert str(err) == f"no admissible root at z = (0.5+1e-06j): {failed}"
+
+
+def test_newton_out_of_iterations_returns_its_last_evaluated_iterate(monkeypatch):
+    import isoedf.rmt as rmt
+
+    # two steps from a far start: the returned G is that of the returned iterate
+    monkeypatch.setattr(rmt, "_NEWTON_MAX_ITER", 2)
+    ct, w, a, b = rmt._columns(unit_atom(0.5))
+    z = np.array([1.0 + 1e-6j, 0.1 + 1e-6j])
+    corrected, u, g = rmt._newton(ct, w, a, b, z, np.array([5.0 + 5.0j, 5.0 + 5.0j]))
+    np.testing.assert_array_equal(g, rmt._g(ct, w.T, a, z, u, u + b / z)[0])
+    assert np.all(corrected != u)
+    ok, residual = rmt._accepted(a, z, u, g)
+    assert not ok.any() and np.all(residual > rmt._RESIDUAL_TOL)
 
 
 class TestBranchSelection:
@@ -379,8 +417,9 @@ class TestBranchSelection:
 
         def wrong_branch(ct, w, a, b, x, eta, top):
             zs = x + 1j * eta
-            wrong.append(rmt._newton(ct, w, a, b, zs, -13.44 + 0.4668j + a / zs))
-            return wrong[-1].copy()
+            _, u, g = rmt._newton(ct, w, a, b, zs, -13.44 + 0.4668j + a / zs)
+            wrong.append(u)
+            return u.copy(), g
 
         monkeypatch.setattr(rmt, "_continue", wrong_branch)
         with pytest.raises(SolverError) as err:
@@ -388,6 +427,8 @@ class TestBranchSelection:
         assert wrong[0][0].imag < 0
         # the residual passes: Im u <= 0 alone rejects the wrong root
         assert err.value.residual <= 1e-10
+        assert err.value.im_u == wrong[0][0].imag
+        assert "Im u" in str(err.value) and "residual" not in str(err.value)
         assert cold == pytest.approx(-12.042 + 0.471j, abs=1e-3)
         assert stieltjes_by_enumeration(p, z) == pytest.approx(cold, abs=1e-12)
 
@@ -419,15 +460,15 @@ class TestContinuationWithoutFallback:
             raise AssertionError("companion fallback reached")
 
         worst = []
-        real_admissible = rmt._admissible
+        real_continue = rmt._continue
 
-        def recording(*args):
-            ok, residual = real_admissible(*args)
-            worst.append(residual.max())
-            return ok, residual
+        def recording(ct, w, a, b, x, eta, top):
+            u, g = real_continue(ct, w, a, b, x, eta, top)
+            worst.append(rmt._accepted(a, x + 1j * eta, u, g)[1].max())
+            return u, g
 
         monkeypatch.setattr(rmt, "poly_roots", no_roots)
-        monkeypatch.setattr(rmt, "_admissible", recording)
+        monkeypatch.setattr(rmt, "_continue", recording)
         for c in (0.05, 0.25, 1.0, 1.5, 20.0, 100.0):
             predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=400)
         assert max(worst) <= rmt._RESIDUAL_TOL
@@ -465,6 +506,32 @@ class TestContinuationSchedule:
             p = random_problem(rng, clustered=bool(i % 2))
             grid = default_grid(p, int(rng.choice([64, 400, 1500])))
             assert np.all(np.isfinite(density_curve(p, grid).values))
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-6, 1e-9])
+    def test_a_fresh_g_confirms_the_residual_the_solver_used(self, monkeypatch, eta):
+        # the acceptance test reads G from Newton's last sweep; evaluated
+        # afresh at each returned root, G gives the same verdict and residual
+        import isoedf.rmt as rmt
+
+        real_continue = rmt._continue
+        checked = []
+
+        def fresh_g(ct, w, a, b, x, eta, top):
+            u, g = real_continue(ct, w, a, b, x, eta, top)
+            z = x + 1j * eta
+            ok, residual = rmt._accepted(a, z, u, g)
+            fresh_ok, fresh = rmt._accepted(a, z, u, rmt._g(ct, w.T, a, z, u, u + b / z)[0])
+            assert ok.all() and fresh_ok.all()
+            np.testing.assert_allclose(fresh, residual, rtol=0, atol=1e-14)
+            checked.append(len(u))
+            return u, g
+
+        monkeypatch.setattr(rmt, "_continue", fresh_g)
+        rng = np.random.default_rng(20161026)
+        for i in range(100):
+            p = random_problem(rng, clustered=bool(i % 2))
+            density_curve(p, default_grid(p, int(rng.choice([64, 400, 1500]))), eta)
+        assert sum(checked) > 50_000
 
     @pytest.mark.parametrize("eta", [1e-3, 1e-9])
     @pytest.mark.parametrize("mode", ["reduced", "full"])
