@@ -16,11 +16,12 @@ u = m for c <= 1.  With b = 1 - 1/c - a (0 for c >= 1) it reads
     G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)) = 0
 
 and has exactly one root with Im u > 0; no term of G grows like 1/c.
-Newton runs on all grid points together while Im z steps down from the
-far field to eta by a factor of 0.03 per level, each level starting from
-the root above moved along its tangent.  A level above eta only supplies
-the start of the next, so it is solved to a relative step of 1e-4 and
-only on a subgrid: one grid point per bin of width 2 Im z plus the last
+One Newton continuation runs on the whole grid, summing G over at most
+2^16 atoms x points at a time, while Im z steps down from the far field
+to eta by a factor of 0.03 per level, each level starting from the root
+above moved along its tangent.  A level above eta only supplies the
+start of the next, so it is solved to a relative step of 1e-4 and only
+on a subgrid: one grid point per bin of width 2 Im z plus the last
 point, with its roots and slopes interpolated linearly onto the rest.
 A solved point whose start was already within 1e-4 of its root takes no
 further level: it moves along its tangent straight to eta.  At those
@@ -54,7 +55,7 @@ _MAX_HALVINGS = 60
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
-_BLOCK_ELEMENTS = 2**16  # atoms x points solved at once; bounds the temporaries
+_BLOCK_ELEMENTS = 2**16  # atoms x points that _g forms at once; bounds the temporaries
 
 
 class SolverError(RuntimeError):
@@ -118,14 +119,11 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
     """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
     ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
-    once per call.  Each step takes G and the atoms x points array
-    1 / (1 + c t_i (u + b/z)) from _g, squares that array in place and
-    takes G' = z - sum_i c t_i w_i / (1 + c t_i (u + b/z))^2 as one more
-    matrix product.  A step that would take Im u from positive to
-    nonpositive is halved until it does not, so an iterate never leaves
-    the half plane that holds the root.  A point stops once its step is
-    at most tol relative to max(1, |u|).  If given, slope receives each
-    point's G' from its last step.
+    once per call.  Each step takes G and G' from _g.  A step that would
+    take Im u from positive to nonpositive is halved until it does not,
+    so an iterate never leaves the half plane that holds the root.  A
+    point stops once its step is at most tol relative to max(1, |u|).
+    If given, slope receives each point's G' from its last step.
 
     Returns the corrected roots u - step, and the iterates at which G was
     last evaluated together with that G: the acceptance test runs on
@@ -136,14 +134,11 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
     u = np.array(u, dtype=complex)
     at, g_at = np.empty_like(u), np.empty_like(u)
     shift = b / z if b else None
-    w_row, ctw_row = w.T, (ct * w).T
     todo = np.arange(len(u))
     for _ in range(_NEWTON_MAX_ITER):
         zi, ui = z[todo], u[todo]
-        g, t = _g(ct, w_row, a, zi, ui, ui if shift is None else ui + shift[todo])
+        g, dg = _g(ct, w, a, zi, ui, ui if shift is None else ui + shift[todo])
         at[todo], g_at[todo] = ui, g
-        t *= t
-        dg = zi - _row_times(ctw_row, t)
         if slope is not None:
             slope[todo] = dg
         step = g / dg
@@ -161,16 +156,25 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
     return u, at, g_at
 
 
-def _g(ct, w_row, a, z, u, v):
-    """G(u) and the atoms x points array 1 / (1 + c t_i v) it was summed from, v = u + b/z.
+def _g(ct, w, a, z, u, v):
+    """G(u) and G'(u) = z - sum_i c t_i w_i / (1 + c t_i v)^2 at v = u + b/z.
 
-    The array is built once and inverted in place; its weighted atom sum
-    is one matrix product with the (1, atoms) row w_row.
+    The atoms x points array 1 / (1 + c t_i v) is built for at most
+    _BLOCK_ELEMENTS of its elements at a time and inverted in place; its
+    weighted atom sum is one matrix product with the row of w, and after
+    squaring it in place, one with the row of c t w.
     """
-    t = ct * v
-    t += 1
-    np.reciprocal(t, out=t)
-    return z * u - a + _row_times(w_row, t), t
+    g, dg = np.empty_like(v), np.empty_like(v)
+    size = max(1, _BLOCK_ELEMENTS // len(ct))
+    for lo in range(0, len(v), size):
+        t = ct * v[lo : lo + size]
+        t += 1
+        np.reciprocal(t, out=t)
+        g[lo : lo + size] = _row_times(w.T, t)
+        t *= t
+        dg[lo : lo + size] = _row_times((ct * w).T, t)
+        del t  # freed before the next block is formed: one block at a time
+    return z * u - a + g, z - dg
 
 
 def _row_times(row, t):
@@ -199,18 +203,18 @@ def _continue(ct, w, a, b, x, eta, top):
     The first level starts from the far-field value u = -(1 - a)/z at
     Im z = top, i.e. m = -1/z.  Every later start is a tangent prediction:
     with G' the derivative Newton formed on its last step at the level
-    above, du/dz = b/z^2 - (u + b/z)/G' (-u/G' for c >= 1), so the start
+    above, du/dz = b/z^2 - (u + b/z)/G' (b = 0 for c >= 1), so the start
     is u + du/dz i (h_new - h), or the root above where that is not finite
     or has Im u <= 0.  The levels above eta only have to land the next
     start near its root, so they stop at a relative step of _LEVEL_TOL,
     and each solves only a subgrid of the points still descending: the
-    first x of every bin floor(x / (_BIN_WIDTH h)) plus the last x.  Their
-    roots and slopes G' are interpolated linearly in x (real and imaginary
-    parts apart) onto the other descending points: m(x + i h) is smooth on
-    the scale h, so those make starts about as good as solved roots would.
-    Where the bins are narrower than the grid spacing every point is its
-    own bin, so the low levels and a graded or non-uniform grid take the
-    same path.  A solved point whose start was already within _LEVEL_TOL
+    first x of every bin floor(x / (_BIN_WIDTH h)) plus the last one of
+    the whole grid.  Their roots and slopes G' are interpolated linearly in
+    x (real and imaginary parts apart) onto the other descending points:
+    m(x + i h) is smooth on the scale h, so those make starts about as
+    good as solved roots would.  Where the bins are narrower than the grid
+    spacing every point is its own bin, so the low levels and a graded or
+    non-uniform grid take the same path.  A solved point whose start was already within _LEVEL_TOL
     of its root leaves the descent: after anchoring its level's
     interpolation, it takes its tangent straight to eta (h_new = eta).
     The level at eta solves every point to _NEWTON_TOL and returns the
@@ -239,11 +243,8 @@ def _continue(ct, w, a, b, x, eta, top):
         dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
         ul, slope, z = _spread(xl, xs, roots), _spread(xl, xs, slope), xl + 1j * h
         with np.errstate(all="ignore"):
-            if b:  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
-                shift = b / z
-                guess = ul + (shift / z - (ul + shift) / slope) * dz
-            else:  # b = 0: skip the b terms' per-point work
-                guess = ul - ul / slope * dz
+            shift = b / z  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
+            guess = ul + (shift / z - (ul + shift) / slope) * dz
         u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
         live = live[~leave]
 
@@ -265,25 +266,19 @@ def _columns(p: FmcProblem):
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     """Roots u = m + a/z at z = x + i eta for every x.
 
-    Blocks of at most _BLOCK_ELEMENTS atoms x points are solved by the
-    eta continuation, whose last Newton sweep gives each root with its
-    G.  If a root fails the acceptance test on those, SolverError names
-    the first such point's z, residual and Im u.
+    One eta continuation solves the whole grid, and its last Newton
+    sweep gives each root with its G.  If a root fails the acceptance
+    test on those, SolverError names the first such point's z, residual
+    and Im u.
     """
     ct, w, a, b = _columns(p)
-    top = max(10.0, 2 * float(x[-1]))
-    size = max(1, _BLOCK_ELEMENTS // len(p.measure.atoms))
-    out = np.empty(len(x), dtype=complex)
-    for lo in range(0, len(x), size):
-        xb = x[lo : lo + size]
-        z = xb + 1j * eta
-        u, g = _continue(ct, w, a, b, xb, eta, top)
-        ok, residual = _accepted(a, z, u, g)
-        if not ok.all():
-            j = np.flatnonzero(~ok)[0]
-            raise SolverError(complex(z[j]), float(residual[j]), float(u[j].imag))
-        out[lo : lo + size] = u
-    return out
+    z = x + 1j * eta
+    u, g = _continue(ct, w, a, b, x, eta, max(10.0, 2 * float(x[-1])))
+    ok, residual = _accepted(a, z, u, g)
+    if not ok.all():
+        j = np.flatnonzero(~ok)[0]
+        raise SolverError(complex(z[j]), float(residual[j]), float(u[j].imag))
+    return u
 
 
 def _upper_half_plane(z: complex) -> complex:
@@ -396,11 +391,14 @@ def default_grid(p: FmcProblem, points: int) -> np.ndarray:
     x^(-1/2) there and a uniform grid cannot integrate it to the mass
     tolerance, so the points are graded as u^2 on [1e-6, hi].  Otherwise
     the grid is uniform from max(1e-4, 0.5 t_min (1-sqrt(c))^2 for c < 1).
+    A measure with every atom at 0 has no support to cover: ValueError.
     """
     check_int("points", points, 16)
     rc = math.sqrt(p.c)
     locs = p.measure.locations
     t_min, t_max = float(locs[0]), float(locs[-1])
+    if t_max == 0:
+        raise ValueError("default_grid needs an atom above 0: every atom sits at 0")
     hi = 1.25 * t_max * (1 + rc) ** 2
     edge = t_min * (1 - rc) ** 2
     if edge < 1e-4 * hi:

@@ -88,7 +88,8 @@ def bessel_j0(x):
     out[near] = np.cumsum(np.hstack([np.ones_like(q)[:, None], terms]), axis=1)[:, -1]
     far = x[~near]
     w = 5.0 / far
-    p_num, p_den, q_num, q_den = _polevl(25.0 / (far * far)[:, None], _HANKEL).T
+    with np.errstate(over="ignore"):  # past x ~ 1.34e154 x^2 is inf, and 25/inf = 0 its limit
+        p_num, p_den, q_num, q_den = _polevl(25.0 / (far * far)[:, None], _HANKEL).T
     xn = far - _PIO4
     out[~near] = (
         _SQ2OPI * (p_num / p_den * np.cos(xn) - w * (q_num / q_den) * np.sin(xn)) / np.sqrt(far)

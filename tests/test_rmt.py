@@ -260,6 +260,12 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             default_grid(unit_atom(0.5), 15)
 
+    def test_every_atom_at_zero_is_refused(self):
+        # hi = 1.25 t_max (1 + sqrt(c))^2 is 0: the grid would run from 1e-4 down to 0
+        p = FmcProblem(measure=AtomicMeasure(atoms=((0.0, 1.0),), kind="full"), c=0.5)
+        with pytest.raises(ValueError, match="needs an atom above 0"):
+            default_grid(p, 16)
+
     @pytest.mark.parametrize("points", [20.0, np.float64(20), "20"])
     def test_points_must_be_an_integer(self, points):
         # these used to reach np.linspace and raise TypeError there
@@ -338,7 +344,7 @@ class TestCompanionFallback:
             # roots moved by 0.3, handed on with G evaluated where they now are
             u = real_continue(ct, w, a, b, x, eta, top)[0] + 0.3
             z = x + 1j * eta
-            return u, rmt._g(ct, w.T, a, z, u, u + b / z)[0]
+            return u, rmt._g(ct, w, a, z, u, u + b / z)[0]
 
         monkeypatch.setattr(rmt, "_continue", off_the_root)
         monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
@@ -391,7 +397,7 @@ def test_newton_out_of_iterations_returns_its_last_evaluated_iterate(monkeypatch
     ct, w, a, b = rmt._columns(unit_atom(0.5))
     z = np.array([1.0 + 1e-6j, 0.1 + 1e-6j])
     corrected, u, g = rmt._newton(ct, w, a, b, z, np.array([5.0 + 5.0j, 5.0 + 5.0j]))
-    np.testing.assert_array_equal(g, rmt._g(ct, w.T, a, z, u, u + b / z)[0])
+    np.testing.assert_array_equal(g, rmt._g(ct, w, a, z, u, u + b / z)[0])
     assert np.all(corrected != u)
     ok, residual = rmt._accepted(a, z, u, g)
     assert not ok.any() and np.all(residual > rmt._RESIDUAL_TOL)
@@ -520,7 +526,7 @@ class TestContinuationSchedule:
             u, g = real_continue(ct, w, a, b, x, eta, top)
             z = x + 1j * eta
             ok, residual = rmt._accepted(a, z, u, g)
-            fresh_ok, fresh = rmt._accepted(a, z, u, rmt._g(ct, w.T, a, z, u, u + b / z)[0])
+            fresh_ok, fresh = rmt._accepted(a, z, u, rmt._g(ct, w, a, z, u, u + b / z)[0])
             assert ok.all() and fresh_ok.all()
             np.testing.assert_allclose(fresh, residual, rtol=0, atol=1e-14)
             checked.append(len(u))
@@ -558,6 +564,46 @@ class TestContinuationSchedule:
             (m,) = [r for r in poly_roots(polynomial_coefficients(p, z)) if (r + z0 / z).imag > 0]
             expected = (m + p.zero_mass / z).imag / math.pi
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
+
+
+class TestMemoryBound:
+    """_g sums G and G' over at most _BLOCK_ELEMENTS atoms x points at a time."""
+
+    @staticmethod
+    def full_256(monkeypatch, block):
+        """The full N = 256, c = 1 curve at the given bound, and the widest array summed."""
+        import isoedf.rmt as rmt
+        from isoedf import ArrayNoiseConfig
+
+        widest = []
+        real_row_times = rmt._row_times
+
+        def watched(row, t):
+            widest.append(t.shape)
+            return real_row_times(row, t)
+
+        with monkeypatch.context() as m:
+            if block is not None:
+                m.setattr(rmt, "_BLOCK_ELEMENTS", block)
+            m.setattr(rmt, "_row_times", watched)
+            d = predict_edf(ArrayNoiseConfig(256), 1.0, mode="full").density
+        return d.values, max(widest, key=lambda shape: shape[0] * shape[1])
+
+    def test_the_default_bound_holds(self, monkeypatch):
+        import isoedf.rmt as rmt
+
+        _, (atoms, points) = self.full_256(monkeypatch, None)
+        assert atoms == 256 and points > 1
+        assert atoms * points <= rmt._BLOCK_ELEMENTS
+
+    @pytest.mark.parametrize("block", [1, 300, 2**30])
+    def test_any_bound_gives_the_same_curve(self, monkeypatch, block):
+        expected, _ = self.full_256(monkeypatch, None)
+        values, (atoms, points) = self.full_256(monkeypatch, block)
+        # a bound below one column still sums one point at a time
+        assert points <= max(1, block // atoms)
+        atol = 1e-15 * max(1.0, expected.max())
+        np.testing.assert_allclose(values, expected, rtol=0, atol=atol)
 
 
 class TestSmallAspectRatio:

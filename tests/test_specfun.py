@@ -89,6 +89,12 @@ class TestBesselJ0:
         for x in np.linspace(-60, 200, 757):
             assert abs(bessel_j0(x)) <= 1.0 + 1e-15
 
+    def test_past_the_square_overflow(self):
+        # above x ~ 1.34e154 x^2 overflows; 25/x^2 -> 0 is the Hankel form's
+        # limit, and no RuntimeWarning reaches the suite's error filter
+        xs = np.array([1e155, 1e300])
+        assert np.all(np.abs(bessel_j0(xs)) <= np.sqrt(2 / (np.pi * xs)))
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError):

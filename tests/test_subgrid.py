@@ -163,10 +163,10 @@ def newton_effort(monkeypatch, run, continue_):
     real_g = rmt._g
     shipped = continue_ is rmt._continue
 
-    def counting_g(ct, w_row, a, z, u, v):
+    def counting_g(ct, w, a, z, u, v):
         zs.append(z)
         total[0] += len(z) * len(ct)
-        return real_g(ct, w_row, a, z, u, v)
+        return real_g(ct, w, a, z, u, v)
 
     with monkeypatch.context() as m:
         m.setattr(rmt, "_g", counting_g)
@@ -218,9 +218,8 @@ def test_subgrid_saves_over_a_third_of_the_evaluations(monkeypatch):
 
 
 def test_model_sweep_evaluations(monkeypatch):
-    # the benchmark's 15 predictions: 10.43 M atom-point evaluations of G
-    # with every point taking every level and a separate acceptance pass,
-    # 7.11 M with early exits and the last Newton sweep as the test
+    # the benchmark's 15 predictions take 7.09 M atom-point evaluations of G
+    # (10.43 M with every point taking every level and a separate acceptance pass)
     total = sum(newton_effort(monkeypatch, prediction(*s), rmt._continue)[1] for s in MODEL_SWEEP)
     assert total <= 7.8e6
 
