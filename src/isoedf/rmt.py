@@ -28,10 +28,12 @@ further level: it moves along its tangent straight to eta.  At those
 heights m is smooth on the scale of Im z, so against solving every point
 at every level the curves move by at most 4.3e-14 of their maximum
 (3.8e-15 on the benchmark scenarios).  Every point is solved at eta, to
-a relative step of 1e-14, and the last Newton sweep is the acceptance
-test: the iterate at which G was last evaluated is returned with that G,
-and a point whose root has Im u <= 0 or a residual above 1e-10 raises
-SolverError.  The density is Im u/pi.
+a step of 1e-14 relative to max(1 - a, |u|), where 1 - a is the
+continuous part's mass, and the last Newton sweep is the acceptance
+test: Newton returns the iterate at which G was last evaluated with G
+and G' there, and a point whose root has Im u <= 0 or a residual above
+1e-10 raises SolverError.  The same return hands each level above eta
+the G' of its tangent.  The density is Im u/pi.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .spike import AtomicMeasure, classify, full_measure, reduce
 from .specfun import check_ratio, zero_atom_mass
 
 _RESIDUAL_TOL = 1e-10
-_NEWTON_MAX_ITER = 100
+_NEWTON_MAX_ITER = 20
 _NEWTON_TOL = 1e-14
 _MAX_HALVINGS = 60
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
@@ -115,32 +117,32 @@ def polynomial_coefficients(p: FmcProblem, z: complex) -> np.ndarray:
     return coeffs
 
 
-def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
+def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
     ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
-    once per call.  Each step takes G and G' from _g.  A step that would
-    take Im u from positive to nonpositive is halved until it does not,
-    so an iterate never leaves the half plane that holds the root.  A
-    point stops once its step is at most tol relative to max(1, |u|).
-    If given, slope receives each point's G' from its last step.
+    once per call (it is 0 for c >= 1).  Each step takes G and G' from _g.
+    A step that would take Im u from positive to nonpositive is halved
+    until it does not, so an iterate never leaves the half plane that
+    holds the root.  A point stops once its step is at most tol relative
+    to max(1 - a, |u|): 1 - a is the continuous part's mass, the scale of
+    the far-field start -(1 - a)/z, and 1 for c <= 1.
 
     Returns the corrected roots u - step, and the iterates at which G was
-    last evaluated together with that G: the acceptance test runs on
-    those, so it needs no further evaluation of G.  They lie within one
+    last evaluated together with G and G' there: the acceptance test runs
+    on those, so it needs no further evaluation of G, and a level above
+    eta takes its tangent from that G'.  The iterates lie within one
     final step, at most tol relative, of the corrected roots; a point
     that runs out of iterations returns its last evaluated iterate too.
     """
     u = np.array(u, dtype=complex)
-    at, g_at = np.empty_like(u), np.empty_like(u)
-    shift = b / z if b else None
+    at, g_at, dg_at = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    shift = b / z
     todo = np.arange(len(u))
     for _ in range(_NEWTON_MAX_ITER):
         zi, ui = z[todo], u[todo]
-        g, dg = _g(ct, w, a, zi, ui, ui if shift is None else ui + shift[todo])
-        at[todo], g_at[todo] = ui, g
-        if slope is not None:
-            slope[todo] = dg
+        g, dg = _g(ct, w, a, zi, ui, ui + shift[todo])
+        at[todo], g_at[todo], dg_at[todo] = ui, g, dg
         step = g / dg
         new = ui - step
         for _ in range(_MAX_HALVINGS):
@@ -150,10 +152,10 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL, slope=None):
             step[low] *= 0.5
             new[low] = ui[low] - step[low]
         u[todo] = new
-        todo = todo[np.abs(step) > tol * np.maximum(1.0, np.abs(new))]
+        todo = todo[np.abs(step) > tol * np.maximum(1 - a, np.abs(new))]
         if not len(todo):
             break
-    return u, at, g_at
+    return u, at, g_at, dg_at
 
 
 def _g(ct, w, a, z, u, v):
@@ -217,8 +219,8 @@ def _continue(ct, w, a, b, x, eta, top):
     non-uniform grid take the same path.  A solved point whose start was already within _LEVEL_TOL
     of its root leaves the descent: after anchoring its level's
     interpolation, it takes its tangent straight to eta (h_new = eta).
-    The level at eta solves every point to _NEWTON_TOL and returns the
-    iterates at which Newton last evaluated G, and that G.
+    The level at eta solves every point to _NEWTON_TOL and returns what
+    _newton returns there.
     """
     h = max(top, eta)
     u = -(1 - a) / (x + 1j * h)
@@ -226,7 +228,7 @@ def _continue(ct, w, a, b, x, eta, top):
     while True:
         h = max(eta, _ETA_RATIO * h)
         if h == eta or not len(live):
-            return _newton(ct, w, a, b, x + 1j * eta, u)[1:]
+            return _newton(ct, w, a, b, x + 1j * eta, u)
         xl = x[live]
         with np.errstate(over="ignore", invalid="ignore"):
             # below h ~ 1e-308 the bin numbers overflow to inf and their steps
@@ -235,8 +237,7 @@ def _continue(ct, w, a, b, x, eta, top):
         first[-1] = True
         sub = np.flatnonzero(first)
         xs, start = xl[sub], u[live[sub]]
-        slope = np.empty(len(sub), dtype=complex)
-        roots = _newton(ct, w, a, b, xs + 1j * h, start, _LEVEL_TOL, slope)[0]
+        roots, _, _, slope = _newton(ct, w, a, b, xs + 1j * h, start, _LEVEL_TOL)
         leave = np.zeros(len(xl), dtype=bool)
         leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1.0, np.abs(roots))
         # the next start: at the next level, or at eta for a point that leaves
@@ -250,7 +251,16 @@ def _continue(ct, w, a, b, x, eta, top):
 
 
 def _spread(x, xs, v):
-    """v, given at the ascending points xs, interpolated linearly onto x."""
+    """v, given at the ascending points xs, interpolated linearly onto x.
+
+    The real and imaginary parts are interpolated apart, not by complex
+    np.interp.  At tiny c, G' is z itself to rounding and the tangent's
+    shift/z - (u + shift)/G' must cancel exactly, as shift = b/z is of
+    order 1/c.  Interpolated apart, Re G' comes out exactly x; complex
+    np.interp multiplies by the reciprocal of the spacing, misses x by an
+    ulp and leaves a start of order 1/c: predict_edf(ArrayNoiseConfig(51),
+    10.0**k, points=200) then fails at 18 k in [-307, -200], k = -294 one.
+    """
     out = np.empty(len(x), dtype=complex)
     out.real = np.interp(x, xs, v.real)
     out.imag = np.interp(x, xs, v.imag)
@@ -273,7 +283,7 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     """
     ct, w, a, b = _columns(p)
     z = x + 1j * eta
-    u, g = _continue(ct, w, a, b, x, eta, max(10.0, 2 * float(x[-1])))
+    _, u, g, _ = _continue(ct, w, a, b, x, eta, max(10.0, 2 * float(x[-1])))
     ok, residual = _accepted(a, z, u, g)
     if not ok.all():
         j = np.flatnonzero(~ok)[0]
@@ -311,7 +321,7 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
     ct, w, a, b = _columns(p)
     roots = poly_roots(polynomial_coefficients(p, z))
     zs = np.full(len(roots), z)
-    _, u, g = _newton(ct, w, a, b, zs, roots + a / z)
+    _, u, g, _ = _newton(ct, w, a, b, zs, roots + a / z)
     ok, residual = _accepted(a, zs, u, g)
     if not ok.any():
         j = np.argmin(np.where(np.isnan(residual), np.inf, residual))

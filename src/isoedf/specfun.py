@@ -98,10 +98,16 @@ def bessel_j0(x):
 
 
 def check_ratio(c) -> None:
-    """Raise ValueError unless the aspect ratio c = N/L is finite and > 0;
-    every stage that takes c checks it here."""
+    """Raise ValueError unless the aspect ratio c = N/L is finite and > 0
+    and the zero atom's mass 1 - 1/c does not round to 1 (c >= 2^54 ~
+    1.8e16), which would leave the continuous part no mass; every stage
+    that takes c checks it here."""
     if not 0 < c < math.inf:
         raise ValueError(f"aspect ratio c must be finite and > 0, got {c}")
+    if 1 - 1 / c == 1:
+        raise ValueError(
+            f"aspect ratio c = {c} is too large: the zero atom's mass 1 - 1/c rounds to 1"
+        )
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,8 @@ def test_closed_pipe_exits_quietly():
         ["predict", "--n", 12, "--c", "nan"],
         ["predict", "--n", 12, "--c", "inf", "--grid-points", 32],
         ["atoms", "--n", 12, "--c", "inf"],
+        ["predict", "--n", 51, "--c", 1e17],
+        ["predict", "--n", 51, "--c", 1e300],
         ["simulate", "--n", 12, "--snapshots", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--trials", 0],
         ["simulate", "--n", 12, "--c", 0.5, "--bins", 0],
@@ -308,20 +310,21 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
 
 def test_numeric_failure_prints_one_stderr_line():
     # a subprocess, because pytest captures the warnings a solver might emit;
-    # at c = 1e300 the continuous part has mass 1e-300, so its transform
-    # underflows to 0 and no root with Im u > 0 is found
+    # with one Newton iteration per level the solver runs, and its roots
+    # fail the residual test
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = (
+        "import sys, isoedf.rmt, isoedf.cli; isoedf.rmt._NEWTON_MAX_ITER = 1; "
+        "sys.exit(isoedf.cli.main(['predict', '--n', '51', '--c', '0.5', '--grid-points', '200']))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "isoedf.cli", "predict", "--n", "51", "--c", "1e300",
-         "--grid-points", "200"],
-        capture_output=True,
-        env=env,
-        timeout=60,
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=60
     )
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(b"isoedf: numeric failure: ")
+    assert b"residual" in proc.stderr
 
 
 def test_solver_error_exits_1_with_one_line(capsys, monkeypatch):

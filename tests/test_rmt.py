@@ -342,9 +342,9 @@ class TestCompanionFallback:
 
         def off_the_root(ct, w, a, b, x, eta, top):
             # roots moved by 0.3, handed on with G evaluated where they now are
-            u = real_continue(ct, w, a, b, x, eta, top)[0] + 0.3
+            u = real_continue(ct, w, a, b, x, eta, top)[1] + 0.3
             z = x + 1j * eta
-            return u, rmt._g(ct, w, a, z, u, u + b / z)[0]
+            return (u, u, *rmt._g(ct, w, a, z, u, u + b / z))
 
         monkeypatch.setattr(rmt, "_continue", off_the_root)
         monkeypatch.setattr(rmt, "poly_roots", lambda coeffs: np.empty(0, dtype=complex))
@@ -396,8 +396,8 @@ def test_newton_out_of_iterations_returns_its_last_evaluated_iterate(monkeypatch
     monkeypatch.setattr(rmt, "_NEWTON_MAX_ITER", 2)
     ct, w, a, b = rmt._columns(unit_atom(0.5))
     z = np.array([1.0 + 1e-6j, 0.1 + 1e-6j])
-    corrected, u, g = rmt._newton(ct, w, a, b, z, np.array([5.0 + 5.0j, 5.0 + 5.0j]))
-    np.testing.assert_array_equal(g, rmt._g(ct, w, a, z, u, u + b / z)[0])
+    corrected, u, g, dg = rmt._newton(ct, w, a, b, z, np.array([5.0 + 5.0j, 5.0 + 5.0j]))
+    np.testing.assert_array_equal((g, dg), rmt._g(ct, w, a, z, u, u + b / z))
     assert np.all(corrected != u)
     ok, residual = rmt._accepted(a, z, u, g)
     assert not ok.any() and np.all(residual > rmt._RESIDUAL_TOL)
@@ -423,9 +423,9 @@ class TestBranchSelection:
 
         def wrong_branch(ct, w, a, b, x, eta, top):
             zs = x + 1j * eta
-            _, u, g = rmt._newton(ct, w, a, b, zs, -13.44 + 0.4668j + a / zs)
-            wrong.append(u)
-            return u.copy(), g
+            out = rmt._newton(ct, w, a, b, zs, -13.44 + 0.4668j + a / zs)
+            wrong.append(out[1].copy())
+            return out
 
         monkeypatch.setattr(rmt, "_continue", wrong_branch)
         with pytest.raises(SolverError) as err:
@@ -469,9 +469,9 @@ class TestContinuationWithoutFallback:
         real_continue = rmt._continue
 
         def recording(ct, w, a, b, x, eta, top):
-            u, g = real_continue(ct, w, a, b, x, eta, top)
-            worst.append(rmt._accepted(a, x + 1j * eta, u, g)[1].max())
-            return u, g
+            out = real_continue(ct, w, a, b, x, eta, top)
+            worst.append(rmt._accepted(a, x + 1j * eta, out[1], out[2])[1].max())
+            return out
 
         monkeypatch.setattr(rmt, "poly_roots", no_roots)
         monkeypatch.setattr(rmt, "_continue", recording)
@@ -523,14 +523,15 @@ class TestContinuationSchedule:
         checked = []
 
         def fresh_g(ct, w, a, b, x, eta, top):
-            u, g = real_continue(ct, w, a, b, x, eta, top)
+            out = real_continue(ct, w, a, b, x, eta, top)
+            _, u, g, _ = out
             z = x + 1j * eta
             ok, residual = rmt._accepted(a, z, u, g)
             fresh_ok, fresh = rmt._accepted(a, z, u, rmt._g(ct, w, a, z, u, u + b / z)[0])
             assert ok.all() and fresh_ok.all()
             np.testing.assert_allclose(fresh, residual, rtol=0, atol=1e-14)
             checked.append(len(u))
-            return u, g
+            return out
 
         monkeypatch.setattr(rmt, "_continue", fresh_g)
         rng = np.random.default_rng(20161026)
@@ -632,6 +633,34 @@ class TestSmallAspectRatio:
         atol = 1e-12 * max(1.0, d.values.max())
         np.testing.assert_allclose(d.values, np.imag(ref) / math.pi, rtol=0, atol=atol)
 
+    def test_newton_stops_within_its_iteration_cap(self, monkeypatch):
+        # points at G's rounding floor used to cycle through 100 iterations
+        # each: this prediction made 114 calls of _g then, 34 with a cap of 20
+        import isoedf.rmt as rmt
+        from isoedf import ArrayNoiseConfig
+
+        cfg = ArrayNoiseConfig(n=12)
+        predict_edf(cfg, 1e-5)  # the spectrum is cached before counting
+        calls = []
+        real_g = rmt._g
+
+        def counting(*args):
+            calls.append(1)
+            return real_g(*args)
+
+        monkeypatch.setattr(rmt, "_g", counting)
+        predict_edf(cfg, 1e-5)
+        assert len(calls) <= 40
+
+    def test_smallest_ratios(self):
+        # at these c the tangent cancels two terms of order 1/c exactly, which
+        # holds only with the slopes G' interpolated in real and imaginary parts
+        from isoedf import ArrayNoiseConfig
+
+        for k in range(-307, -199):
+            values = predict_edf(ArrayNoiseConfig(n=51), 10.0**k, points=200).density.values
+            assert np.all(np.isfinite(values)) and np.all(values >= 0)
+
     def test_enumeration_with_a_subnormal_leading_coefficient(self, spectrum51):
         from isoedf import classify, reduce
 
@@ -641,6 +670,21 @@ class TestSmallAspectRatio:
         assert abs(polynomial_coefficients(p, z)[-1]) < 1e-300
         m = stieltjes_at(p, z)
         assert stieltjes_by_enumeration(p, z) == pytest.approx(m, rel=1e-12)
+
+
+class TestLargeAspectRatio:
+    """Large c: Newton's step is measured against the continuous part's mass 1/c."""
+
+    @pytest.mark.parametrize("c", [1e5, 1e6, 1e7, 1e9, 1e12, 1e16])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    @pytest.mark.parametrize("n", [12, 51])
+    def test_predictions(self, n, mode, c):
+        # c = 1e6 and 1e7 used to stop Newton short of the root at the first
+        # grid point, where |u| ~ 1/c, and fail the residual test
+        from isoedf import ArrayNoiseConfig
+
+        d = predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=200).density
+        assert np.all(np.isfinite(d.values)) and np.all(d.values >= 0)
 
 
 def support_edges(p):

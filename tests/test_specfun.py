@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoedf import ArrayNoiseConfig, MpParams, bessel_j0, mp_density, zero_atom_mass
-from isoedf.specfun import _PP, _PQ, _QP, _QQ
+from isoedf.specfun import _PP, _PQ, _QP, _QQ, check_ratio
 
 J0_FIRST_ZERO = 2.404825557695773
 
@@ -195,3 +195,10 @@ class TestZeroAtomMass:
     def test_domain(self, c):
         with pytest.raises(ValueError):
             zero_atom_mass(c)
+
+    def test_a_mass_that_rounds_to_one_is_refused(self):
+        # at c >= 2^54, 1 - 1/c rounds to 1 and the continuous part has no mass left
+        check_ratio(1e16)
+        assert zero_atom_mass(1e16) < 1
+        with pytest.raises(ValueError, match=r"aspect ratio c = 3\.602879701896397e\+16 "):
+            check_ratio(2.0**55)
