@@ -22,18 +22,19 @@ to eta by a factor of 0.03 per level, each level starting from the root
 above moved along its tangent.  A level above eta only supplies the
 start of the next, so it is solved to a relative step of 1e-4 and only
 on a subgrid: one grid point per bin of width 2 Im z plus the last
-point, with its roots and slopes interpolated linearly onto the rest.
-A solved point whose start was already within 1e-4 of its root takes no
-further level: it moves along its tangent straight to eta.  At those
-heights m is smooth on the scale of Im z, so against solving every point
-at every level the curves move by at most 4.3e-14 of their maximum
-(3.8e-15 on the benchmark scenarios).  Every point is solved at eta, to
-a step of 1e-14 relative to max(1 - a, |u|), where 1 - a is the
-continuous part's mass, and the last Newton sweep is the acceptance
+point.  The tangent du/dz is formed at those solved points from
+Newton's own G' there, and the roots and tangents are interpolated
+linearly onto the rest.  A solved point whose start was already within
+1e-4 of its root takes no further level: it moves along its tangent
+straight to eta.  At those heights m is smooth on the scale of Im z, so
+against solving every point at every level the curves move by at most
+4.3e-14 of their maximum (3.8e-15 on the benchmark scenarios).  Every
+point is solved at eta, to a step of 1e-14; Newton's stop and a level's
+leave test measure against one scale, max(1 - a, |u|), where 1 - a is
+the continuous part's mass.  The last Newton sweep is the acceptance
 test: Newton returns the iterate at which G was last evaluated with G
 and G' there, and a point whose root has Im u <= 0 or a residual above
-1e-10 raises SolverError.  The same return hands each level above eta
-the G' of its tangent.  The density is Im u/pi.
+1e-10 raises SolverError.  The density is Im u/pi.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .specfun import check_ratio, zero_atom_mass
 _RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 20
 _NEWTON_TOL = 1e-14
-_MAX_HALVINGS = 60
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
@@ -122,11 +122,11 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
 
     ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
     once per call (it is 0 for c >= 1).  Each step takes G and G' from _g.
-    A step that would take Im u from positive to nonpositive is halved
-    until it does not, so an iterate never leaves the half plane that
-    holds the root.  A point stops once its step is at most tol relative
-    to max(1 - a, |u|): 1 - a is the continuous part's mass, the scale of
-    the far-field start -(1 - a)/z, and 1 for c <= 1.
+    A step that would take Im u from positive to nonpositive is cut to
+    land at half the old height, so an iterate never leaves the half
+    plane that holds the root.  A point stops once its step is at most
+    tol relative to max(1 - a, |u|): 1 - a is the continuous part's mass,
+    the scale of the far-field start -(1 - a)/z, and 1 for c <= 1.
 
     Returns the corrected roots u - step, and the iterates at which G was
     last evaluated together with G and G' there: the acceptance test runs
@@ -144,14 +144,9 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
         g, dg = _g(ct, w, a, zi, ui, ui + shift[todo])
         at[todo], g_at[todo], dg_at[todo] = ui, g, dg
         step = g / dg
-        new = ui - step
-        for _ in range(_MAX_HALVINGS):
-            low = (new.imag <= 0) & (ui.imag > 0)
-            if not low.any():
-                break
-            step[low] *= 0.5
-            new[low] = ui[low] - step[low]
-        u[todo] = new
+        low = (ui.imag - step.imag <= 0) & (ui.imag > 0)
+        step[low] *= 0.5 * ui.imag[low] / step.imag[low]  # to half the old height
+        u[todo] = new = ui - step
         todo = todo[np.abs(step) > tol * np.maximum(1 - a, np.abs(new))]
         if not len(todo):
             break
@@ -203,24 +198,25 @@ def _continue(ct, w, a, b, x, eta, top):
     """Roots at x + i eta, reached by Newton at Im z = 0.03 top, 0.03^2 top, ..., eta.
 
     The first level starts from the far-field value u = -(1 - a)/z at
-    Im z = top, i.e. m = -1/z.  Every later start is a tangent prediction:
-    with G' the derivative Newton formed on its last step at the level
-    above, du/dz = b/z^2 - (u + b/z)/G' (b = 0 for c >= 1), so the start
-    is u + du/dz i (h_new - h), or the root above where that is not finite
-    or has Im u <= 0.  The levels above eta only have to land the next
-    start near its root, so they stop at a relative step of _LEVEL_TOL,
-    and each solves only a subgrid of the points still descending: the
-    first x of every bin floor(x / (_BIN_WIDTH h)) plus the last one of
-    the whole grid.  Their roots and slopes G' are interpolated linearly in
-    x (real and imaginary parts apart) onto the other descending points:
-    m(x + i h) is smooth on the scale h, so those make starts about as
-    good as solved roots would.  Where the bins are narrower than the grid
-    spacing every point is its own bin, so the low levels and a graded or
-    non-uniform grid take the same path.  A solved point whose start was already within _LEVEL_TOL
-    of its root leaves the descent: after anchoring its level's
-    interpolation, it takes its tangent straight to eta (h_new = eta).
-    The level at eta solves every point to _NEWTON_TOL and returns what
-    _newton returns there.
+    Im z = top, i.e. m = -1/z.  The levels above eta only have to land the
+    next start near its root, so they stop at a relative step of
+    _LEVEL_TOL, and each solves only a subgrid of the points still
+    descending: the first x of every bin floor(x / (_BIN_WIDTH h)) plus the
+    last one of the whole grid.  At those solved points the tangent is
+    du/dz = b/z^2 - (u + b/z)/G' (b = 0 for c >= 1), with the G' Newton
+    formed on its last step there, or 0 where that is not finite.  The
+    roots and tangents are interpolated linearly in x onto the other
+    descending points: m(x + i h) is smooth on the scale h, so those make
+    starts about as good as solved roots would.  Each next start is
+    u + du/dz i (h_new - h), or u where that is not finite or has
+    Im u <= 0.  Where the bins are narrower than the grid spacing every
+    point is its own bin, so the low levels and a graded or non-uniform
+    grid take the same path.  A solved point whose start was already
+    within _LEVEL_TOL of its root, on Newton's scale max(1 - a, |u|),
+    leaves the descent: after anchoring its level's interpolation, it
+    takes its tangent straight to eta (h_new = eta).  The level at eta
+    solves every point to _NEWTON_TOL and returns what _newton returns
+    there.
     """
     h = max(top, eta)
     u = -(1 - a) / (x + 1j * h)
@@ -237,34 +233,20 @@ def _continue(ct, w, a, b, x, eta, top):
         first[-1] = True
         sub = np.flatnonzero(first)
         xs, start = xl[sub], u[live[sub]]
-        roots, _, _, slope = _newton(ct, w, a, b, xs + 1j * h, start, _LEVEL_TOL)
+        zs = xs + 1j * h
+        roots, _, _, slope = _newton(ct, w, a, b, zs, start, _LEVEL_TOL)
         leave = np.zeros(len(xl), dtype=bool)
-        leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1.0, np.abs(roots))
+        leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1 - a, np.abs(roots))
         # the next start: at the next level, or at eta for a point that leaves
         dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
-        ul, slope, z = _spread(xl, xs, roots), _spread(xl, xs, slope), xl + 1j * h
+        ul = np.interp(xl, xs, roots)
         with np.errstate(all="ignore"):
-            shift = b / z  # shift/z, not b/z^2: at tiny c it cancels (u + shift)/G' exactly
-            guess = ul + (shift / z - (ul + shift) / slope) * dz
+            shift = b / zs  # shift/zs, not b/zs^2: at tiny c it cancels (roots + shift)/G' exactly
+            tangent = shift / zs - (roots + shift) / slope
+            tangent[~np.isfinite(tangent)] = 0
+            guess = ul + np.interp(xl, xs, tangent) * dz
         u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
         live = live[~leave]
-
-
-def _spread(x, xs, v):
-    """v, given at the ascending points xs, interpolated linearly onto x.
-
-    The real and imaginary parts are interpolated apart, not by complex
-    np.interp.  At tiny c, G' is z itself to rounding and the tangent's
-    shift/z - (u + shift)/G' must cancel exactly, as shift = b/z is of
-    order 1/c.  Interpolated apart, Re G' comes out exactly x; complex
-    np.interp multiplies by the reciprocal of the spacing, misses x by an
-    ulp and leaves a start of order 1/c: predict_edf(ArrayNoiseConfig(51),
-    10.0**k, points=200) then fails at 18 k in [-307, -200], k = -294 one.
-    """
-    out = np.empty(len(x), dtype=complex)
-    out.real = np.interp(x, xs, v.real)
-    out.imag = np.interp(x, xs, v.imag)
-    return out
 
 
 def _columns(p: FmcProblem):
@@ -314,8 +296,10 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
 
     Each companion-matrix root of polynomial_coefficients(p, z) is polished
     by Newton on G; the one that passes the acceptance test with the least
-    residual is returned, else SolverError.  The grid solver never calls
-    this; z must be finite with Im z > 0.
+    residual is returned, else SolverError.  Where the polynomial's monic
+    coefficients overflow, as they can at small c (reduced N = 51,
+    c = 1e-7 in the band of its top atom), poly_roots raises NumericError.
+    The grid solver never calls this; z must be finite with Im z > 0.
     """
     z = _upper_half_plane(z)
     ct, w, a, b = _columns(p)
@@ -380,14 +364,13 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     factors of 0.03.  Each level above eta solves one grid point per bin
     of width 2 Im z and interpolates the rest; a solved point whose start
     was already within 1e-4 of its root goes straight to eta.  The level
-    at eta solves every point.  Grid points and eta must be finite; a
-    point whose root fails the acceptance test raises SolverError.
+    at eta solves every point.  Grid points and eta must be finite, and
+    the grid may reach x <= 0 at every c, as u has no pole at 0; a point
+    whose root fails the acceptance test raises SolverError.
     """
     grid = _check_grid(grid)
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and > 0, got {eta}")
-    if p.c >= 1 and grid[0] <= 0:
-        raise ValueError("grid points must be > 0 for c >= 1 (zero atom is separate)")
     u = _solve(p, grid, eta)
     return SpectralDensity(grid=grid, values=u.imag / math.pi, zero_mass=p.zero_mass, eta=eta)
 

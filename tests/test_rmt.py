@@ -224,9 +224,24 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             density_curve(p, np.array([1.0]))
         with pytest.raises(ValueError):
-            density_curve(unit_atom(1.5), np.array([0.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
             density_curve(p, np.array([1.0, 2.0]), eta=0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5, 4.0])
+    @pytest.mark.parametrize("mode", ["reduced", "full"])
+    def test_grid_reaching_below_zero_at_c_at_least_one(self, spectrum51, c, mode):
+        # u = m + a/z has no pole at 0, so a grid may reach x <= 0 at every c
+        from isoedf import classify, full_measure, reduce
+
+        measure = reduce(classify(spectrum51, c)) if mode == "reduced" else full_measure(spectrum51)
+        p = FmcProblem(measure=measure, c=c)
+        grid = default_grid(p, 1500)
+        d = density_curve(p, np.concatenate([np.linspace(-1.0, 0.0, 50), grid]))
+        expected = density_curve(p, grid).values
+        atol = 1e-12 * max(1.0, expected.max())
+        np.testing.assert_allclose(d.values[50:], expected, rtol=0, atol=atol)
+        assert np.all(d.values[:49] < 1e-3)
+        if c == 1.0:  # the eta-smoothed x^(-1/2) hard edge
+            assert d.values[49] > 100
 
 
 class TestDefaultGrid:
@@ -401,6 +416,27 @@ def test_newton_out_of_iterations_returns_its_last_evaluated_iterate(monkeypatch
     assert np.all(corrected != u)
     ok, residual = rmt._accepted(a, z, u, g)
     assert not ok.any() and np.all(residual > rmt._RESIDUAL_TOL)
+
+
+def test_newton_cuts_a_step_that_would_cross_the_real_axis(monkeypatch):
+    import isoedf.rmt as rmt
+
+    # one step from u = -1 + 0.5i: at x = 5 the full step would land at
+    # Im u = -0.094 and is cut to half the old height; at x = 0.1 it stays
+    # above the axis and is taken whole
+    monkeypatch.setattr(rmt, "_NEWTON_MAX_ITER", 1)
+    ct, w, a, b = rmt._columns(unit_atom(0.5))
+    z = np.array([5.0 + 1e-6j, 0.1 + 1e-6j])
+    u = np.full(2, -1.0 + 0.5j)
+    g, dg = rmt._g(ct, w, a, z, u, u + b / z)
+    step = g / dg
+    assert (u - step).imag[0] < 0 < (u - step).imag[1]
+    corrected, at, _, _ = rmt._newton(ct, w, a, b, z, u)
+    np.testing.assert_array_equal(at, u)
+    assert corrected[0].imag == pytest.approx(0.25, rel=1e-15)
+    # the cut step keeps the full step's direction
+    assert (u[0] - corrected[0]) / step[0] == pytest.approx(0.25 / step[0].imag, rel=1e-15)
+    assert corrected[1] == u[1] - step[1]
 
 
 class TestBranchSelection:
@@ -654,7 +690,8 @@ class TestSmallAspectRatio:
 
     def test_smallest_ratios(self):
         # at these c the tangent cancels two terms of order 1/c exactly, which
-        # holds only with the slopes G' interpolated in real and imaginary parts
+        # holds only where G' is Newton's own: the tangent is formed at the
+        # solved points, and only it is interpolated
         from isoedf import ArrayNoiseConfig
 
         for k in range(-307, -199):
@@ -684,6 +721,14 @@ class TestLargeAspectRatio:
         from isoedf import ArrayNoiseConfig
 
         d = predict_edf(ArrayNoiseConfig(n=n), c, mode=mode, points=200).density
+        assert np.all(np.isfinite(d.values)) and np.all(d.values >= 0)
+
+    def test_a_step_that_would_cross_the_real_axis_is_cut(self):
+        # Newton's full step takes Im u below 0 here (without the cut the
+        # prediction fails with Im u = -1.446e-29 <= 0)
+        from isoedf import ArrayNoiseConfig
+
+        d = predict_edf(ArrayNoiseConfig(n=12), 1e8, points=200, eta=1e-9).density
         assert np.all(np.isfinite(d.values)) and np.all(d.values >= 0)
 
 
