@@ -121,10 +121,13 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
     ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
-    once per call (it is 0 for c >= 1).  Each step takes G and G' from _g.
-    A step that would take Im u from positive to nonpositive is cut to
-    land at half the old height, so an iterate never leaves the half
-    plane that holds the root.  A point stops once its step is at most
+    once per call (it is 0 for c >= 1).  Each step takes G and G' from _g:
+    the first sweep at every start as given, with no gather or scatter,
+    and the later ones at the points still moving.  A step that would take
+    Im u from positive to nonpositive is cut to land at half the old
+    height, so an iterate never leaves the half plane that holds the root;
+    the arrays are touched for the cut only where a tentative iterate has
+    Im u <= 0.  A point stops once its step is at most
     tol relative to max(1 - a, |u|): 1 - a is the continuous part's mass,
     the scale of the far-field start -(1 - a)/z, and 1 for c <= 1.
 
@@ -135,18 +138,27 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     final step, at most tol relative, of the corrected roots; a point
     that runs out of iterations returns its last evaluated iterate too.
     """
-    u = np.array(u, dtype=complex)
-    at, g_at, dg_at = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    at = np.array(u, dtype=complex)
     shift = b / z
-    todo = np.arange(len(u))
-    for _ in range(_NEWTON_MAX_ITER):
-        zi, ui = z[todo], u[todo]
-        g, dg = _g(ct, w, a, zi, ui, ui + shift[todo])
-        at[todo], g_at[todo], dg_at[todo] = ui, g, dg
+    g_at, dg_at = _g(ct, w, a, z, at, at + shift)
+    ui, g, dg = at, g_at, dg_at
+    todo = np.arange(len(at))
+    for sweep in range(_NEWTON_MAX_ITER):
+        if sweep:
+            ui = u[todo]
+            g, dg = _g(ct, w, a, z[todo], ui, ui + shift[todo])
+            at[todo], g_at[todo], dg_at[todo] = ui, g, dg
         step = g / dg
-        low = (ui.imag - step.imag <= 0) & (ui.imag > 0)
-        step[low] *= 0.5 * ui.imag[low] / step.imag[low]  # to half the old height
-        u[todo] = new = ui - step
+        new = ui - step
+        low = new.imag <= 0
+        if low.any():
+            low &= ui.imag > 0
+            step[low] *= 0.5 * ui.imag[low] / step.imag[low]  # to half the old height
+            new[low] = ui[low] - step[low]
+        if sweep:
+            u[todo] = new
+        else:
+            u = new
         todo = todo[np.abs(step) > tol * np.maximum(1 - a, np.abs(new))]
         if not len(todo):
             break
@@ -159,19 +171,30 @@ def _g(ct, w, a, z, u, v):
     The atoms x points array 1 / (1 + c t_i v) is built for at most
     _BLOCK_ELEMENTS of its elements at a time and inverted in place; its
     weighted atom sum is one matrix product with the row of w, and after
-    squaring it in place, one with the row of c t w.
+    squaring it in place, one with the row of c t w, formed once per call.
+    c t_i v_j is written as one real product of the column c t with the
+    interleaved (re, im) pairs of a contiguous v: that is the complex
+    product exactly while Im v > 0, and at most a zero's sign away from
+    it elsewhere.
+    G = (z u - a) + sum and G' are assembled in place, in that order.
     """
     g, dg = np.empty_like(v), np.empty_like(v)
+    ctw = (ct * w).T
     size = max(1, _BLOCK_ELEMENTS // len(ct))
     for lo in range(0, len(v), size):
-        t = ct * v[lo : lo + size]
+        block = v[lo : lo + size]
+        t = np.empty((len(ct), len(block)), dtype=complex)
+        np.multiply(ct, block.view(float), out=t.view(float))  # c t v
         t += 1
         np.reciprocal(t, out=t)
         g[lo : lo + size] = _row_times(w.T, t)
         t *= t
-        dg[lo : lo + size] = _row_times((ct * w).T, t)
+        dg[lo : lo + size] = _row_times(ctw, t)
         del t  # freed before the next block is formed: one block at a time
-    return z * u - a + g, z - dg
+    zu = z * u
+    zu -= a
+    zu += g
+    return zu, np.subtract(z, dg, out=dg)
 
 
 def _row_times(row, t):
@@ -211,7 +234,8 @@ def _continue(ct, w, a, b, x, eta, top):
     u + du/dz i (h_new - h), or u where that is not finite or has
     Im u <= 0.  Where the bins are narrower than the grid spacing every
     point is its own bin, so the low levels and a graded or non-uniform
-    grid take the same path.  A solved point whose start was already
+    grid take the same path; a level whose every point was solved
+    interpolates nothing.  A solved point whose start was already
     within _LEVEL_TOL of its root, on Newton's scale max(1 - a, |u|),
     leaves the descent: after anchoring its level's interpolation, it
     takes its tangent straight to eta (h_new = eta).  The level at eta
@@ -226,11 +250,12 @@ def _continue(ct, w, a, b, x, eta, top):
         if h == eta or not len(live):
             return _newton(ct, w, a, b, x + 1j * eta, u)
         xl = x[live]
+        first = np.ones(len(xl), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            # below h ~ 1e-308 the bin numbers overflow to inf and their steps
-            # to nan, which still makes every point its own bin
-            first = np.diff(np.floor(xl / (_BIN_WIDTH * h)), prepend=np.nan) != 0
-        first[-1] = True
+            # below h ~ 1e-308 the bin numbers overflow to inf; their steps
+            # inf - inf are nan, not 0, so every point stays its own bin
+            bins = np.floor(xl / (_BIN_WIDTH * h))
+            first[1:-1] = np.subtract(bins[1:-1], bins[:-2]) != 0
         sub = np.flatnonzero(first)
         xs, start = xl[sub], u[live[sub]]
         zs = xs + 1j * h
@@ -239,12 +264,15 @@ def _continue(ct, w, a, b, x, eta, top):
         leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1 - a, np.abs(roots))
         # the next start: at the next level, or at eta for a point that leaves
         dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
-        ul = np.interp(xl, xs, roots)
+        spread = len(sub) < len(xl)  # else every point is its own bin and was solved
+        ul = np.interp(xl, xs, roots) if spread else roots
         with np.errstate(all="ignore"):
             shift = b / zs  # shift/zs, not b/zs^2: at tiny c it cancels (roots + shift)/G' exactly
             tangent = shift / zs - (roots + shift) / slope
             tangent[~np.isfinite(tangent)] = 0
-            guess = ul + np.interp(xl, xs, tangent) * dz
+            if spread:
+                tangent = np.interp(xl, xs, tangent)
+            guess = ul + tangent * dz
         u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
         live = live[~leave]
 

@@ -603,6 +603,46 @@ class TestContinuationSchedule:
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
 
 
+def complex_g(ct, w, a, z, u, v):
+    """_g's sums in plain complex arithmetic, block for block as _g takes them."""
+    import isoedf.rmt as rmt
+
+    g, dg = np.empty_like(v), np.empty_like(v)
+    size = max(1, rmt._BLOCK_ELEMENTS // len(ct))
+    for lo in range(0, len(v), size):
+        t = ct * v[lo : lo + size]
+        t += 1
+        np.reciprocal(t, out=t)
+        g[lo : lo + size] = rmt._row_times(w.T, t)
+        t *= t
+        dg[lo : lo + size] = rmt._row_times((ct * w).T, t)
+    return z * u - a + g, z - dg
+
+
+@pytest.mark.parametrize("c", [1e-300, 0.25, 1.0, 1.5, 1e16])
+def test_g_has_the_bits_of_plain_complex_arithmetic(c):
+    # _g forms c t v as one real product on the (re, im) pairs of v, which
+    # is the complex product exactly while Im v > 0, and G in place
+    import isoedf.rmt as rmt
+
+    rng = np.random.default_rng(20161026)
+    points = rmt._BLOCK_ELEMENTS // 4 + 1  # above _BLOCK_ELEMENTS with 4 atoms or more
+    measures = [
+        measure_from(np.sort(rng.uniform(0.05, 20.0, 300)), rng.dirichlet(np.ones(300))),
+        measure_from([0.0, 0.5, 1.0, 4.0], rng.dirichlet(np.ones(4))),
+        random_problem(rng, clustered=True).measure,
+    ]
+    for measure in measures:
+        ct, w, a, b = rmt._columns(FmcProblem(measure=measure, c=c))
+        z = rng.uniform(-1.0, 50.0, points) + 1j * np.exp(rng.uniform(-20.0, 2.0, points))
+        u = rng.normal(0.0, 2.0, points) + 1j * rng.exponential(1.0, points)
+        v = u + b / z
+        assert np.all(v.imag > 0)
+        g, dg = rmt._g(ct, w, a, z, u, v)
+        expected_g, expected_dg = complex_g(ct, w, a, z, u, v)
+        assert np.array_equal(g, expected_g) and np.array_equal(dg, expected_dg)
+
+
 class TestMemoryBound:
     """_g sums G and G' over at most _BLOCK_ELEMENTS atoms x points at a time."""
 

@@ -116,8 +116,10 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize("eta", [1e-308, 5e-324])
     def test_eta_near_the_smallest_float(self, eta):
-        # at the levels just above eta, x / (2 Im z) overflows: every point is
-        # its own bin, and no RuntimeWarning reaches the suite's error filter
+        # no RuntimeWarning reaches the suite's error filter; every point of
+        # this grid leaves the descent by Im z ~ 2e-5, so the levels where
+        # x / (2 Im z) overflows are left to
+        # test_overflowed_bin_numbers_keep_every_point_its_own_bin
         from isoedf import classify, ensemble_spectrum, reduce
 
         spectrum = ensemble_spectrum(ArrayNoiseConfig(12))
@@ -149,6 +151,31 @@ def record_levels(monkeypatch, run):
         m.setattr(rmt, "_newton", recording)
         run()
     return calls
+
+
+@pytest.mark.parametrize("eta", [1e-308, 5e-324])
+def test_overflowed_bin_numbers_keep_every_point_its_own_bin(monkeypatch, eta):
+    # Where x / (2 Im z) overflows to inf, the bin steps inf - inf are nan,
+    # not 0, so every descending point is solved: none is interpolated from
+    # a neighbour whose bin number overflowed too.  At the default level
+    # tolerance every point of this grid leaves the descent long before
+    # that; with none the levels go on until each start is its root exactly.
+    from isoedf import classify, ensemble_spectrum, reduce
+
+    spectrum = ensemble_spectrum(ArrayNoiseConfig(12))
+    p = FmcProblem(measure=reduce(classify(spectrum, 0.5)), c=0.5)
+    grid = default_grid(p, 64)
+    monkeypatch.setattr(rmt, "_LEVEL_TOL", 0.0)
+    calls = record_levels(monkeypatch, lambda: density_curve(p, grid, eta))
+    descending, overflowed = grid, 0
+    for a, z, start, roots in calls[:-1]:
+        with np.errstate(over="ignore"):
+            if np.isinf(descending / (rmt._BIN_WIDTH * z[0].imag)).sum() > 1:
+                np.testing.assert_array_equal(z.real, descending)
+                overflowed += 1
+        left = z.real[converged_at_the_start(a, start, roots)]
+        descending = descending[~np.isin(descending, left)]
+    assert overflowed
 
 
 def newton_effort(monkeypatch, run, continue_):
