@@ -34,7 +34,8 @@ leave test measure against one scale, max(1 - a, |u|), where 1 - a is
 the continuous part's mass.  The last Newton sweep is the acceptance
 test: Newton returns the iterate at which G was last evaluated with G
 and G' there, and a point whose root has Im u <= 0 or a residual above
-1e-10 raises SolverError.  The density is Im u/pi.
+1e-10 raises SolverError.  The density is Im u/pi, and the CDF is read
+from the same roots in closed form, with no quadrature (_cdf).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -350,29 +352,71 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
+def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
+    """The limiting CDF F at each x, in closed form from the roots u at z = x + i eta.
+
+    With v = u + b/z, a the zero atom's mass and every arg a principal value,
+
+        F(x) = 1 + (1/pi) [Im(z u) - sum_i w_i arg(1 + c t_i v) + arg(-z u - b)/c - arg z]
+               + (a/pi) atan2(eta, x) - a [x < 0],
+
+    that is -Im L(z)/pi for L(z) = int log(lambda - z) dF(lambda), L' = -m,
+    written with no term of size 1/c.  The atan2 term takes back the zero
+    atom's Lorentzian tail at height eta, and the last one keeps the atom
+    out of F below 0, so a node at exactly 0 takes the right limit and
+    includes it.  The atoms x points array of args is formed for at most
+    _BLOCK_ELEMENTS of its elements at a time.
+    """
+    ct, w, a, b = _columns(p)
+    z = x + 1j * eta
+    v = u + b / z
+    args = np.empty(len(x))
+    size = max(1, _BLOCK_ELEMENTS // len(ct))
+    for lo in range(0, len(x), size):
+        args[lo : lo + size] = (w.T @ np.angle(1 + ct * v[lo : lo + size]))[0]
+    zu = z * u
+    bracket = zu.imag - args + np.angle(-zu - b) / p.c - np.angle(z)
+    return 1 + bracket / math.pi + a / math.pi * np.arctan2(eta, x) - a * (x < 0)
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Sampled continuous density plus the mass of the point mass at zero.
+    """The limiting spectrum of a problem along a grid, read from its roots.
 
-    Takes finite grid and values as any matching 1-D sequences; stores float arrays.
+    Building one checks the grid and eta and solves the roots u = m + a/z
+    at z = x + i eta for every grid point x, as `density_curve` describes;
+    the grid may be any finite, strictly ascending 1-D sequence of >= 2
+    points and is stored as a float array.  Everything else is read from
+    the roots on first use and kept: `values`, the continuous part's
+    density Im u/pi, and `cdf`, the model CDF F at each node in closed
+    form.  `trapezoid_mass` integrates `values` by trapezoids, as the
+    curve's own resolution check; `cdf` does not use it.
     """
 
+    problem: FmcProblem
     grid: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    zero_mass: float
     eta: float
+    roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = _check_grid(self.grid)
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError("grid and values must be matching 1-D arrays")
-        if not (np.isfinite(values).all() and np.all(values >= 0)):
-            raise ValueError("density values must be finite and nonnegative")
-        if not 0 <= self.zero_mass < 1:
-            raise ValueError(f"zero_mass must lie in [0, 1), got {self.zero_mass}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "roots", _solve(self.problem, grid, self.eta))
+
+    @property
+    def zero_mass(self) -> float:
+        return self.problem.zero_mass
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.roots.imag / math.pi
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """F at each grid node: the zero atom from x = 0 on plus the continuous part."""
+        return _cdf(self.problem, self.grid, self.eta, self.roots)
 
     @property
     def trapezoid_mass(self) -> float:
@@ -394,13 +438,10 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     was already within 1e-4 of its root goes straight to eta.  The level
     at eta solves every point.  Grid points and eta must be finite, and
     the grid may reach x <= 0 at every c, as u has no pole at 0; a point
-    whose root fails the acceptance test raises SolverError.
+    whose root fails the acceptance test raises SolverError.  The result
+    keeps the roots, from which its CDF is formed when first read.
     """
-    grid = _check_grid(grid)
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and > 0, got {eta}")
-    u = _solve(p, grid, eta)
-    return SpectralDensity(grid=grid, values=u.imag / math.pi, zero_mass=p.zero_mass, eta=eta)
+    return SpectralDensity(p, grid, eta)
 
 
 def default_grid(p: FmcProblem, points: int) -> np.ndarray:

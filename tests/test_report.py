@@ -25,13 +25,15 @@ class TestModelCdf:
         np.testing.assert_array_equal(model_cdf(density15, [-5.0, -1e-12]), 0.0)
 
     def test_zero_atom_at_the_origin(self, density15):
-        total = density15.total_mass
-        assert model_cdf(density15, 0.0) == pytest.approx(density15.zero_mass / total, rel=1e-12)
+        # the zero atom plus the continuous part up to the first node; no rescale
+        assert model_cdf(density15, 0.0) == pytest.approx(density15.cdf[0], rel=1e-12)
+        assert 0 <= density15.cdf[0] - density15.zero_mass <= 1e-6
         assert density15.zero_mass == pytest.approx(1 / 3, abs=1e-12)
 
     def test_one_at_and_beyond_the_grid_end(self, density15):
         end = density15.grid[-1]
-        np.testing.assert_array_equal(model_cdf(density15, [end, end + 1.0, 1e9]), 1.0)
+        assert model_cdf(density15, end) == pytest.approx(1.0, abs=1e-7)
+        np.testing.assert_array_equal(model_cdf(density15, [end + 1.0, 1e9]), 1.0)
 
     def test_nondecreasing_along_the_grid(self, density15):
         values = model_cdf(density15, density15.grid)
@@ -44,29 +46,12 @@ class TestModelCdf:
 def test_density_built_from_lists_matches_one_built_from_arrays():
     # the lists used to be stored as given, and model_cdf raised TypeError on them
     d = predict_edf(ArrayNoiseConfig(n=12), 0.5, points=64).density
-    listed = SpectralDensity(list(d.grid), list(d.values), d.zero_mass, d.eta)
+    listed = SpectralDensity(d.problem, list(d.grid), d.eta)
     xs = np.linspace(-0.5, 1.2 * d.grid[-1], 41)
+    np.testing.assert_array_equal(listed.roots, d.roots)
     np.testing.assert_array_equal(model_cdf(listed, xs), model_cdf(d, xs))
     emp = run_mc(McConfig(ArrayNoiseConfig(n=12), snapshots=24, trials=4, seed=2))
     assert compare(listed, emp) == compare(d, emp)
-
-
-@pytest.mark.parametrize(
-    "grid,values",
-    [([0.0, 1.0], [np.nan, 1.0]), ([0.0, 1.0], [np.inf, 1.0]), ([np.nan, 1.0], [1.0, 1.0]),
-     ([0.0, np.inf], [1.0, 1.0])],
-)
-def test_density_rejects_non_finite_samples(grid, values):
-    # NaN used to pass both the ascending and the nonnegative test
-    with pytest.raises(ValueError, match="finite"):
-        SpectralDensity(grid, values, 0.0, 1e-6)
-
-
-def test_density_rejects_mismatched_values_and_a_full_zero_atom():
-    with pytest.raises(ValueError, match="matching"):
-        SpectralDensity([0.0, 1.0, 2.0], [1.0, 1.0], 0.0, 1e-6)
-    with pytest.raises(ValueError, match="zero_mass"):
-        SpectralDensity([0.0, 1.0], [0.0, 0.0], 1.0, 1e-6)
 
 
 def test_empirical_spectrum_rejects_an_empty_per_trial():

@@ -865,7 +865,7 @@ def test_density_curve_and_density_share_one_grid_rule(grid):
     with pytest.raises(ValueError) as from_curve:
         density_curve(unit_atom(0.5), grid)
     with pytest.raises(ValueError) as from_density:
-        SpectralDensity(grid, np.ones(np.shape(grid)), 0.0, 1e-6)
+        SpectralDensity(unit_atom(0.5), grid, 1e-6)
     assert str(from_curve.value) == str(from_density.value)
     assert str(from_curve.value).startswith("grid must be")
 
