@@ -1,16 +1,19 @@
-"""Monte Carlo ground truth: correlated snapshots, sample covariances, pooling.
+"""Monte Carlo ground truth: Wishart trials, sample covariances, pooling.
 
-Each trial draws an N x L matrix of proper complex Gaussians through a
-counter-based Philox stream keyed by (seed, trial), colors it with the
-real covariance square root, and pools the sample-covariance
-eigenvalues, taken from whichever Gram, N x N or L x L, is smaller.
-Keying streams by trial index makes the result bit-identical no matter
-how trials are distributed over workers, for a fixed BLAS build and
-thread count: at N = 51, L = 204 one OpenBLAS thread and two gave
-eigenvalues that differ by up to 7.2e-15 relative in every trial.  Each
-worker re-keys one Philox per trial and writes its trials into one
-reused `TrialWorkspace`, so a snapshot matrix or Gram taken from a
-passed workspace is overwritten by the next trial.
+Each trial draws the sample covariance (1/L) A G G^H A^T of N x L proper
+complex Gaussians G, coloured by the real covariance square root A, by the
+Bartlett decomposition of the complex Wishart matrix (Goodman, Ann. Math.
+Statist. 34, 1963): G G^H has the law of T T^H for a lower-trapezoidal
+N x min(N, L) factor T, so a trial draws about N min(N, L)/2 normals and
+min(N, L) gammas, not N L normals.  The eigenvalues, taken from whichever
+Gram of A T is smaller, are pooled over trials.  Every trial draws from a
+counter-based Philox stream keyed by (seed, trial), which makes the result
+bit-identical no matter how trials are distributed over workers, for a
+fixed BLAS build and thread count: at N = 51, L = 204 one OpenBLAS thread
+and two gave eigenvalues that differ by up to 7.2e-15 relative in every
+trial.  Each worker re-keys one Philox per trial and writes its trials
+into one reused `TrialWorkspace`, so an array taken from a passed
+workspace is overwritten by the next trial.
 """
 
 from __future__ import annotations
@@ -60,17 +63,12 @@ def make_stream(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class TrialWorkspace:
-    """The arrays one Monte Carlo trial writes, allocated once for an (n, l).
+class SnapshotWorkspace:
+    """The arrays `gaussian_snapshots` writes for an n x l draw, allocated once.
 
-    A worker builds one and passes it to every trial it runs, so a trial
-    allocates nothing of size n x l.  Each call writes the buffers it uses
-    in full before reading them, so nothing carries over between trials;
-    what a call returns from the workspace is overwritten by the next call
-    given the same workspace.  In a fresh process at N = 51, L = 204,
-    fresh arrays for every trial took ~28% of run_mc's time: glibc handed
-    their memory back to the OS on each free, and every trial took ~130
-    minor page faults to get it back.
+    Each call writes every buffer in full before reading it, so nothing
+    carries over between draws; the result, `g`, is overwritten by the
+    next draw given the same workspace.
     """
 
     def __init__(self, n: int, l: int):
@@ -81,13 +79,41 @@ class TrialWorkspace:
         self.quarters = np.empty((n, l))  # q; then 1 + sin
         self.sine = np.empty((n, l))
         self.index = np.empty((n, l), dtype=np.intp)
-        self.g = np.empty((n, l), dtype=complex)  # then conj(X), once X is coloured
-        self.x = np.empty((n, 2 * l))  # X as n x 2L reals
-        self.gram = np.empty((min(n, l),) * 2, dtype=complex)
+        self.g = np.empty((n, l), dtype=complex)
+
+
+class TrialWorkspace:
+    """The arrays one Bartlett trial writes, allocated once for an (n, l).
+
+    With k = min(n, l): the n x k factor T, whose entries above the
+    diagonal stay 0 and whose other entries every trial rewrites; the
+    `SnapshotWorkspace` for the n k - k (k + 1)/2 normals below its
+    diagonal; the k gammas of its diagonal; A T, its conjugate and the
+    k x k Gram.  Nothing is of size n x l, so a trial's memory does not
+    grow with l.  A worker builds one and passes it to every trial it
+    runs; what a call returns from the workspace is overwritten by the
+    next call given the same workspace.
+    """
+
+    def __init__(self, n: int, l: int):
+        check_int("n", n, 2)
+        check_int("l", l, 1)
+        self.shape = (n, l)
+        k = min(n, l)
+        rows, cols = np.tril_indices(n, -1, k)
+        self.lower = rows * k + cols  # flat positions in T below the diagonal
+        self.normals = SnapshotWorkspace(1, len(self.lower))
+        self.gamma_shapes = l - np.arange(k, dtype=float)  # |T_ii|^2 ~ Gamma(L - i, 1)
+        self.gamma = np.empty(k)
+        self.t = np.zeros((n, k), dtype=complex)
+        self.diagonal = self.t.reshape(-1)[:: k + 1][:k]  # a view of T's diagonal
+        self.x = np.empty((n, 2 * k))  # A T as n x 2k reals
+        self.x_conj = np.empty((n, k), dtype=complex)
+        self.gram = np.empty((k, k), dtype=complex)
 
 
 def gaussian_snapshots(
-    n: int, l: int, stream: np.random.Generator, *, work: TrialWorkspace | None = None
+    n: int, l: int, stream: np.random.Generator, *, work: SnapshotWorkspace | None = None
 ) -> np.ndarray:
     """n x l matrix of iid proper complex Gaussians with E|g|^2 = 1.
 
@@ -107,7 +133,7 @@ def gaussian_snapshots(
     a fresh workspace is built, so the result is a new array.
     """
     if work is None:
-        work = TrialWorkspace(n, l)
+        work = SnapshotWorkspace(n, l)
     elif work.shape != (n, l):
         raise ValueError(f"workspace is for {work.shape}, not {(n, l)}")
     u1, u2 = work.uniforms
@@ -140,25 +166,33 @@ def scm_eigenvalues(
     sigma_half: np.ndarray, l: int, stream: np.random.Generator, *,
     work: TrialWorkspace | None = None,
 ) -> np.ndarray:
-    """Eigenvalues (descending) of one sample covariance (1/L) X X^H.
+    """Eigenvalues (descending) of one sample covariance (1/L) X X^H, X = A G.
 
-    X = sigma_half G is colored by a real GEMM on G viewed as an
-    n x 2L real array, half the flops of the complex product; a complex
-    sigma_half is rejected, since that view would silently drop its
-    imaginary part.  For L < n the nonzero eigenvalues are those of the
-    L x L Gram (1/L) X^H X, and the n - L rank-deficiency zeros are
-    exact 0.0.  G, X and the Gram are written into `work`, or into a
-    fresh workspace when none is passed; the eigenvalues are a new array.
+    Drawn by the Bartlett decomposition, with k = min(n, L): the entries
+    of the n x k factor T below its diagonal are `gaussian_snapshots`
+    normals, drawn first and laid out row by row, and its diagonal is
+    T_ii = sqrt(Gamma(L - i, 1)) for i < k.  A T is coloured by a real GEMM
+    on T viewed as an n x 2k real array, half the flops of the complex
+    product; a complex sigma_half = A is rejected, since that view would
+    silently drop its imaginary part.  The eigenvalues are those of the
+    n x n Gram (1/L) (A T)(A T)^H for L >= n, or of the L x L Gram
+    (1/L) (A T)^H (A T) for L < n, with the n - L rank-deficiency zeros
+    exact 0.0.  Everything is written into `work`, or into a fresh
+    workspace when none is passed; the eigenvalues are a new array.
     """
     if np.iscomplexobj(sigma_half):
         raise ValueError("sigma_half must be real")
     n = sigma_half.shape[0]
     if work is None:
         work = TrialWorkspace(n, l)
-    g = gaussian_snapshots(n, l, stream, work=work)
-    np.matmul(sigma_half, g.view(float), out=work.x)
+    elif work.shape != (n, l):
+        raise ValueError(f"workspace is for {work.shape}, not {(n, l)}")
+    normals = gaussian_snapshots(1, len(work.lower), stream, work=work.normals)
+    work.t.put(work.lower, normals)
+    np.sqrt(stream.standard_gamma(work.gamma_shapes, out=work.gamma), out=work.diagonal)
+    np.matmul(sigma_half, work.t.view(float), out=work.x)
     x = work.x.view(complex)
-    x_conj = np.conjugate(x, out=g)  # G is spent once X is coloured
+    x_conj = np.conjugate(x, out=work.x_conj)
     if l >= n:
         np.matmul(x, x_conj.T, out=work.gram)
     else:

@@ -17,7 +17,9 @@ from isoedf import (
     sqrt_psd,
     build_ecm,
     default_grid,
+    ensemble_spectrum,
 )
+from isoedf.mc import TrialWorkspace
 
 
 class TestGaussianSnapshots:
@@ -98,10 +100,10 @@ class TestScmEigenvalues:
         # for L < N the L x L Gram gives the nonzero part and N - L exact zeros
         n = 51
         half = sqrt_psd(build_ecm(ArrayNoiseConfig(n=n, zeta=0.5)))
-        g = gaussian_snapshots(n, l, make_stream(8, l))
-        x = half @ g
+        work = TrialWorkspace(n, l)
+        got = scm_eigenvalues(half, l, make_stream(8, l), work=work)
+        x = half @ work.t  # the Bartlett factor the trial drew
         expected = np.linalg.eigvalsh(x @ x.conj().T / l)[::-1]
-        got = scm_eigenvalues(half, l, make_stream(8, l))
         assert got.shape == (n,)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * expected[0])
         assert np.all(got[min(l, n) :] == 0.0)
@@ -109,6 +111,26 @@ class TestScmEigenvalues:
     def test_rejects_complex_sigma_half(self):
         with pytest.raises(ValueError):
             scm_eigenvalues(np.eye(4, dtype=complex), 8, make_stream(0, 0))
+
+    @pytest.mark.parametrize("l", [48, 8])
+    def test_trace_moments_match_the_wishart_law(self, l):
+        # E tr S = tr Sigma and E tr S^2 = tr Sigma^2 + (tr Sigma)^2 / L, exactly
+        cfg = ArrayNoiseConfig(n=12)
+        sigma = build_ecm(cfg)
+        per_trial = run_mc(McConfig(cfg, snapshots=l, trials=4000, seed=4)).per_trial
+        for sample, exact in (
+            (per_trial.sum(axis=1), np.trace(sigma)),
+            ((per_trial**2).sum(axis=1), np.trace(sigma @ sigma) + np.trace(sigma) ** 2 / l),
+        ):
+            stderr = sample.std(ddof=1) / np.sqrt(len(sample))
+            assert abs(sample.mean() - exact) <= 3 * stderr
+
+    def test_a_billion_snapshots_give_the_population_spectrum(self):
+        # a trial holds nothing of size N x L: 12 x 10^9 complex would be 192 GB
+        cfg = ArrayNoiseConfig(n=12)
+        emp = run_mc(McConfig(cfg, snapshots=10**9, trials=2, seed=1))
+        expected = ensemble_spectrum(cfg).values
+        np.testing.assert_allclose(emp.per_trial, np.tile(expected, (2, 1)), rtol=1e-3)
 
     def test_mean_eigenvalue_matches_unit_trace(self):
         total = 0.0

@@ -1,9 +1,10 @@
-"""The in-place Monte Carlo kernel against the allocating kernel it replaced.
+"""The in-place Monte Carlo kernels against allocating ones.
 
-`oracle_gaussian_snapshots` and `oracle_scm_eigenvalues` are the earlier
-bodies of `gaussian_snapshots` and `scm_eigenvalues`, copied unchanged: a
-fresh array for every step.  The reused-workspace kernel has to give the same
-bits trial for trial, for L above, at and below N and for any worker count.
+`oracle_gaussian_snapshots` is the earlier body of `gaussian_snapshots`,
+copied unchanged, and `oracle_scm_eigenvalues` a Bartlett trial written
+plainly: a fresh array for every step.  The reused-workspace kernels have to
+give the same bits trial for trial, for L above, at and below N and for any
+worker count.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from isoedf import (
     scm_eigenvalues,
     sqrt_psd,
 )
-from isoedf.mc import TrialWorkspace
+from isoedf.mc import SnapshotWorkspace, TrialWorkspace
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])  # i**q
 
@@ -44,7 +45,12 @@ def oracle_scm_eigenvalues(sigma_half: np.ndarray, l: int, stream: np.random.Gen
     if np.iscomplexobj(sigma_half):
         raise ValueError("sigma_half must be real")
     n = sigma_half.shape[0]
-    x = (sigma_half @ oracle_gaussian_snapshots(n, l, stream).view(float)).view(complex)
+    k = min(n, l)
+    t = np.zeros((n, k), dtype=complex)
+    below = np.tril_indices(n, -1, k)
+    t[below] = oracle_gaussian_snapshots(1, len(below[0]), stream)[0]
+    t[np.arange(k), np.arange(k)] = np.sqrt(stream.standard_gamma(l - np.arange(k, dtype=float)))
+    x = (sigma_half @ t.view(float)).view(complex)
     if l >= n:
         return hermitian_eigenvalues((x @ x.conj().T) / l)
     vals = hermitian_eigenvalues((x.conj().T @ x) / l)
@@ -67,7 +73,7 @@ def test_run_mc_matches_the_allocating_kernel(monkeypatch, n, l, seed, threads):
 
 
 def test_snapshots_in_a_reused_workspace_match_the_allocating_kernel():
-    work = TrialWorkspace(51, 204)
+    work = SnapshotWorkspace(51, 204)
     for trial in range(3):
         got = gaussian_snapshots(51, 204, make_stream(4, trial), work=work)
         assert got is work.g
@@ -93,6 +99,6 @@ def test_eigenvalues_do_not_alias_the_workspace():
 
 def test_workspace_of_another_shape_is_rejected():
     with pytest.raises(ValueError, match="workspace"):
-        gaussian_snapshots(16, 8, make_stream(0, 0), work=TrialWorkspace(16, 9))
+        gaussian_snapshots(16, 8, make_stream(0, 0), work=SnapshotWorkspace(16, 9))
     with pytest.raises(ValueError, match="workspace"):
         scm_eigenvalues(np.eye(4), 8, make_stream(0, 0), work=TrialWorkspace(5, 8))
