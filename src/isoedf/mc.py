@@ -92,11 +92,13 @@ class TrialWorkspace:
     k x k Gram.  Nothing is of size n x l, so a trial's memory does not
     grow with l.  A worker builds one and passes it to every trial it
     runs; what a call returns from the workspace is overwritten by the
-    next call given the same workspace.
+    next call given the same workspace.  Reuse changes no bits: a trial's
+    eigenvalues depend only on its stream and on the BLAS build and
+    thread count.
     """
 
     def __init__(self, n: int, l: int):
-        check_int("n", n, 2)
+        check_int("n", n, 2)  # a 1 x 1 factor has no normals to draw
         check_int("l", l, 1)
         self.shape = (n, l)
         k = min(n, l)
