@@ -7,7 +7,7 @@ Wishart family (numeric Stieltjes-transform solve) -> density curve,
 validated against Monte Carlo sample-covariance eigenvalues.
 """
 
-from .ecm import ArrayNoiseConfig, EnsembleSpectrum, build_ecm, ensemble_spectrum, szego_density
+from .ecm import ArrayNoiseConfig, EnsembleSpectrum, build_ecm, ensemble_spectrum
 from .linalg import NumericError, hermitian_eigenvalues, poly_roots, sqrt_psd, sym_eigenvalues
 from .mc import EmpiricalSpectrum, McConfig, gaussian_snapshots, make_stream, run_mc, scm_eigenvalues
 from .report import ComparisonReport, compare, model_cdf
@@ -65,6 +65,5 @@ __all__ = [
     "stieltjes_at",
     "stieltjes_by_enumeration",
     "sym_eigenvalues",
-    "szego_density",
     "zero_atom_mass",
 ]

@@ -133,15 +133,3 @@ def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
     values = np.concatenate([sym_eigenvalues(even), sym_eigenvalues(a - jb)])
     return EnsembleSpectrum(values=np.sort(values)[::-1])
 
-
-def szego_density(omega: float, cfg: ArrayNoiseConfig) -> float:
-    """Szego symbol F(w) = 2/sqrt(alpha^2 - w^2) of the covariance Toeplitz family.
-
-    Diagnostic only: the Toeplitz eigenvalues asymptotically distribute
-    like samples of F, which is what motivates collapsing the clustered
-    bulk.  Defined for |w| < alpha.
-    """
-    alpha = cfg.alpha
-    if abs(omega) >= alpha:
-        raise ValueError(f"|omega| must be < alpha = {alpha:.6g}, got {omega}")
-    return 2.0 / math.sqrt(alpha * alpha - omega * omega)

@@ -13,7 +13,6 @@ from isoedf import (
     ensemble_spectrum,
     predict_edf,
     sym_eigenvalues,
-    szego_density,
 )
 from test_specfun import j0_series
 
@@ -185,25 +184,6 @@ def _ks_two_empirical(a, b):
 
 
 class TestSzego:
-    def test_center_value_half_wavelength(self):
-        cfg = ArrayNoiseConfig(n=8, zeta=0.5)
-        assert szego_density(0.0, cfg) == pytest.approx(2 / math.pi)
-
-    def test_center_value_general(self):
-        cfg = ArrayNoiseConfig(n=8, zeta=0.3)
-        assert szego_density(0.0, cfg) == pytest.approx(2 / cfg.alpha)
-
-    def test_diverges_toward_edge(self):
-        cfg = ArrayNoiseConfig(n=8, zeta=0.5)
-        samples = [szego_density(f * cfg.alpha, cfg) for f in (0.9, 0.99, 0.999, 0.9999)]
-        assert all(lo < hi for lo, hi in zip(samples, samples[1:]))
-
-    @pytest.mark.parametrize("frac", [1.0, 1.5, -1.0])
-    def test_domain(self, frac):
-        cfg = ArrayNoiseConfig(n=8, zeta=0.5)
-        with pytest.raises(ValueError):
-            szego_density(frac * cfg.alpha, cfg)
-
     def test_spectrum_converges_to_symbol(self):
         # eigenvalues distribute like symbol samples; quantile-matched KS
         # distance should shrink as the matrix grows
@@ -212,7 +192,7 @@ class TestSzego:
             cfg = ArrayNoiseConfig(n=n, zeta=0.5)
             eig = sym_eigenvalues(build_ecm(cfg))
             omegas = (np.arange(n) + 0.5) / n * cfg.alpha
-            symbol = np.array([szego_density(w, cfg) for w in omegas])
+            symbol = 2 / np.sqrt(cfg.alpha**2 - omegas**2)  # the Szego symbol
             distances[n] = _ks_two_empirical(eig, symbol)
         assert distances[256] < distances[64]
 

@@ -19,7 +19,7 @@ from isoedf import (
     default_grid,
     ensemble_spectrum,
 )
-from isoedf.mc import TrialWorkspace
+from test_mc_stream import assert_matches_the_oracle, oracle_scm_eigenvalues
 
 
 class TestGaussianSnapshots:
@@ -53,33 +53,6 @@ class TestGaussianSnapshots:
         a = make_stream(np.uint64(5), np.int64(3)).random(4)
         np.testing.assert_array_equal(a, make_stream(5, 3).random(4))
 
-    def test_matches_the_complex_exp_form(self):
-        # radius * exp(2 pi i u2), the form the cos/sin kernel replaces
-        for trial in range(4):
-            stream = make_stream(17, trial)
-            u1, u2 = stream.random((51, 204)), stream.random((51, 204))
-            expected = np.sqrt(-np.log1p(-u1)) * np.exp(2j * np.pi * u2)
-            got = gaussian_snapshots(51, 204, make_stream(17, trial))
-            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
-
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double"
-    )
-    def test_phase_within_one_and_a_half_ulp_of_a_longdouble_reference(self):
-        # g / radius against cos and sin of 2 pi u2 in extended precision; the
-        # full-range double angle 2 pi u2 alone is off by up to 6.9e-16
-        two_pi = 2 * np.arccos(np.longdouble(-1))
-        worst = 0.0
-        for trial in range(20):
-            stream = make_stream(23, trial)
-            u1, u2 = stream.random((51, 204)), stream.random((51, 204))
-            radius = np.sqrt(-np.log1p(-u1)).astype(np.longdouble)
-            phase = two_pi * u2.astype(np.longdouble)
-            got = gaussian_snapshots(51, 204, make_stream(23, trial))
-            for part, ref in ((got.real, np.cos(phase)), (got.imag, np.sin(phase))):
-                worst = max(worst, float(np.max(np.abs(part.astype(np.longdouble) / radius - ref))))
-        assert worst <= 3.3e-16
-
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             gaussian_snapshots(0, 4, make_stream(0, 0))
@@ -97,20 +70,23 @@ class TestScmEigenvalues:
 
     @pytest.mark.parametrize("l", [1, 17, 50, 51, 52])
     def test_matches_the_n_by_n_gram(self, l):
-        # for L < N the L x L Gram gives the nonzero part and N - L exact zeros
+        # the oracle solves the N x N Gram of the same Bartlett factor; for
+        # L < N the trial's L x L Gram gives the nonzero part and N - L exact zeros
         n = 51
         half = sqrt_psd(build_ecm(ArrayNoiseConfig(n=n, zeta=0.5)))
-        work = TrialWorkspace(n, l)
-        got = scm_eigenvalues(half, l, make_stream(8, l), work=work)
-        x = half @ work.t  # the Bartlett factor the trial drew
-        expected = np.linalg.eigvalsh(x @ x.conj().T / l)[::-1]
+        got = scm_eigenvalues(half, l, make_stream(8, l))
         assert got.shape == (n,)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * expected[0])
-        assert np.all(got[min(l, n) :] == 0.0)
+        assert_matches_the_oracle(got, oracle_scm_eigenvalues(half, l, make_stream(8, l)), l)
 
     def test_rejects_complex_sigma_half(self):
         with pytest.raises(ValueError):
             scm_eigenvalues(np.eye(4, dtype=complex), 8, make_stream(0, 0))
+
+    @pytest.mark.parametrize("n,l", [(4, 0), (4, -1), (4, 2.0), (1, 8)])
+    def test_rejects_bad_shape(self, n, l):
+        # a 1 x 1 factor has no normals to draw
+        with pytest.raises(ValueError, match="must be an integer"):
+            scm_eigenvalues(np.eye(n), l, make_stream(0, 0))
 
     @pytest.mark.parametrize("l", [48, 8])
     def test_trace_moments_match_the_wishart_law(self, l):
