@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import sym_eigenvalues
+from .linalg import psd_floor, sym_eigenvalues
 from .specfun import bessel_j0
 
 
@@ -58,16 +58,12 @@ class EnsembleSpectrum:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or len(values) < 1:
-            raise ValueError("values must be a non-empty vector")
+        if values.ndim != 1 or len(values) < 1 or not np.isfinite(values).all():
+            raise ValueError("values must be a non-empty vector of finite eigenvalues")
         if np.any(np.diff(values) > 0):
             raise ValueError("eigenvalues must be sorted descending")
-        if values[0] > 0 and values[-1] < -1e-10 * values[0]:
-            raise ValueError(
-                f"negative eigenvalue {values[-1]:.3e} beyond round-off tolerance"
-            )
         # tiny negatives are round-off from the near-singular Toeplitz family
-        values = np.clip(values, 0.0, None)
+        values = psd_floor(values)
         values.flags.writeable = False  # cached spectra are shared between callers
         object.__setattr__(self, "values", values)
 

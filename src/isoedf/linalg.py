@@ -4,7 +4,9 @@ Thin contract layer over LAPACK (via numpy): input validation, ordering
 and tolerance conventions live here so callers never touch numpy.linalg
 directly.  Every matrix passes one gate, `_square`, a symmetric one also
 `_symmetric`, and every LAPACK call goes through `_lapack`, which raises
-NumericError where LAPACK fails.
+NumericError where LAPACK fails.  Eigenvalues that must be >= 0 pass one
+round-off floor, `psd_floor`: a negative within 1e-10 of the largest is
+set to 0.0, and anything more negative raises.
 """
 
 from __future__ import annotations
@@ -46,6 +48,20 @@ def _lapack(solver, a: np.ndarray, what: str):
         raise NumericError(f"{what} failed: {e}") from e
 
 
+def psd_floor(values) -> np.ndarray:
+    """values as a new float array with the round-off negatives set to 0.0.
+
+    A value below -1e-10 max(largest value, 0) is not round-off: ValueError
+    ("negative eigenvalue ..."), and so is a NaN.  Where no value is
+    positive the floor is 0, so any negative raises.
+    """
+    values = np.asarray(values, dtype=float)
+    low, floor = values.min(), -1e-10 * max(values.max(), 0.0)
+    if not low >= floor:  # a NaN is refused too
+        raise ValueError(f"negative eigenvalue {low:.3e} beyond the round-off floor {floor:.3e}")
+    return np.maximum(values, 0.0)
+
+
 def sym_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, sorted descending."""
     a = _symmetric(a)
@@ -57,13 +73,21 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 
     Rejects inputs whose Hermitian defect ||a^H - a||_F exceeds 1e-10
     relative to ||a||_F.  The check makes one temporary, a^H - a laid out
-    as a, and takes both norms as square roots of vdot sums.
+    as a, and takes both norms as square roots of vdot sums.  Where
+    1e-20 ||a||_F^2 is not a normal float, the sums would over- or
+    underflow, so there the check runs on a times the power of two that
+    brings its largest real or imaginary part into [0.5, 1), a scaling
+    exact for every entry above 2^-1022 of that part.
     """
     a = _square(a, complex)
-    defect = np.conjugate(a.T, order="C")
-    defect -= a
-    frobenius = math.sqrt(np.vdot(a, a).real)
-    if math.sqrt(np.vdot(defect, defect).real) > 1e-10 * max(frobenius, np.finfo(float).tiny):
+    b, sq = a, np.vdot(a, a).real
+    if not np.finfo(float).tiny <= 1e-20 * sq < math.inf:
+        _, e = np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+        b = np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e)
+        sq = np.vdot(b, b).real
+    defect = np.conjugate(b.T, order="C")
+    defect -= b
+    if math.sqrt(np.vdot(defect, defect).real) > 1e-10 * math.sqrt(sq):
         raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")
     return _lapack(np.linalg.eigvalsh, a, "Hermitian eigensolver")[::-1].copy()
 
@@ -71,19 +95,12 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root B with B @ B ~= a.
 
-    Eigenvalues in [-1e-10 * lambda_max, 0) are treated as round-off and
-    clamped to zero; anything more negative raises.
+    The eigenvalues pass `psd_floor`: round-off negatives count as zero,
+    and anything more negative raises ValueError.
     """
     a = _symmetric(a)
     vals, vecs = _lapack(np.linalg.eigh, a, "symmetric eigensolver")
-    lam_max = max(vals[-1], 0.0)
-    if vals[0] < -1e-10 * lam_max:
-        raise ValueError(
-            f"matrix is not PSD: min eigenvalue {vals[0]:.3e} "
-            f"below -1e-10 * lambda_max = {-1e-10 * lam_max:.3e}"
-        )
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    b = root @ vecs.T
+    b = (vecs * np.sqrt(psd_floor(vals))) @ vecs.T
     return (b + b.T) / 2
 
 
@@ -96,8 +113,10 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
     Each eigenvalue is then refined by Newton steps on the polynomial:
     near clustered roots the eigenvalues alone can be off by 1e-8
     relative, enough to give a root just below the real axis a positive
-    imaginary part.  Coefficients must be finite, else ValueError; where
-    the monic coefficients overflow, NumericError names the degree.
+    imaginary part.  Degree 1 takes the same path: its 1 x 1 companion
+    matrix holds -c0/c1, and the polish leaves that root as it is.
+    Coefficients must be finite, else ValueError; where the monic
+    coefficients overflow, NumericError names the degree.
     """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if not np.isfinite(coeffs).all():
@@ -114,8 +133,6 @@ def poly_roots(coeffs: np.ndarray) -> np.ndarray:
         monic = coeffs / coeffs[-1]
     if not np.isfinite(monic).all():
         raise NumericError(f"monic coefficients of the degree-{d} polynomial overflow")
-    if d == 1:
-        return np.array([-monic[0]])
     comp = np.zeros((d, d), dtype=complex)
     comp[0, :] = -monic[d - 1 :: -1]
     comp[1:, :-1] = np.eye(d - 1)

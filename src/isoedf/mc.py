@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ecm import ArrayNoiseConfig, build_ecm, check_int
-from .linalg import hermitian_eigenvalues, sqrt_psd
+from .linalg import hermitian_eigenvalues, psd_floor, sqrt_psd
 
 _ZERO_CLAMP_REL = 1e-9
 _THREADS_ENV = "ISO_EDF_THREADS"
@@ -120,8 +120,9 @@ class EmpiricalSpectrum:
     Built from `per_trial`, each trial's raw descending eigenvalues as one
     row, and the histogram's bin count; everything else is derived from
     them at construction, so `dataclasses.replace` with a new `per_trial`
-    re-derives it.  `pooled` is ascending, with the eigenvalues below 1e-9
-    of the pooled maximum (the rank-deficiency zeros plus round-off)
+    re-derives it.  `pooled` is ascending and passes `psd_floor`, so a
+    negative beyond round-off raises; the eigenvalues below 1e-9 of the
+    pooled maximum (the rank-deficiency zeros plus round-off) are then
     snapped to exactly 0.0 and counted in `zero_count`.  The histogram of
     the nonzero part has `bins` equal bins on [0, 1.05 max]; its heights
     are normalized so the continuous area equals the nonzero fraction.
@@ -146,6 +147,7 @@ class EmpiricalSpectrum:
             raise ValueError(
                 "per_trial must be a non-empty 2-D array of finite eigenvalues, not all <= 0"
             )
+        pooled = psd_floor(pooled)
         check_int("bins", self.bins, 1)
         g_max = float(pooled[-1])
         zero_count = int(np.count_nonzero(pooled < _ZERO_CLAMP_REL * g_max))

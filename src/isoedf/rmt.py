@@ -59,7 +59,7 @@ _NEWTON_TOL = 1e-14
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
-_BLOCK_ELEMENTS = 2**16  # atoms x points that _g forms at once; bounds the temporaries
+_BLOCK_ELEMENTS = 2**16  # atoms x points in one block of _blocks; bounds the temporaries
 
 
 class SolverError(RuntimeError):
@@ -167,31 +167,40 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     return u, at, g_at, dg_at
 
 
+def _blocks(ct, v):
+    """Yield (s, 1 + c t v[s]) over v in slices s of at most _BLOCK_ELEMENTS atoms x points.
+
+    Each block is a fresh atoms x points array that the caller may
+    overwrite.  It is dropped here before the next one is formed, so a
+    caller that drops it too holds one block at a time.  c t_i v_j is
+    written as one real product of the column c t with the interleaved
+    (re, im) pairs of a contiguous v: that is the complex product exactly
+    while Im v > 0, and at most a zero's sign away from it elsewhere.
+    """
+    size = max(1, _BLOCK_ELEMENTS // len(ct))
+    for lo in range(0, len(v), size):
+        s = slice(lo, lo + size)
+        t = np.multiply(ct, v[s].view(float)).view(complex)  # c t v
+        t += 1
+        yield s, t
+        del t
+
+
 def _g(ct, w, a, z, u, v):
     """G(u) and G'(u) = z - sum_i c t_i w_i / (1 + c t_i v)^2 at v = u + b/z.
 
-    The atoms x points array 1 / (1 + c t_i v) is built for at most
-    _BLOCK_ELEMENTS of its elements at a time and inverted in place; its
+    Each block of 1 + c t v from _blocks is inverted in place; its
     weighted atom sum is one matrix product with the row of w, and after
     squaring it in place, one with the row of c t w, formed once per call.
-    c t_i v_j is written as one real product of the column c t with the
-    interleaved (re, im) pairs of a contiguous v: that is the complex
-    product exactly while Im v > 0, and at most a zero's sign away from
-    it elsewhere.
     G = (z u - a) + sum and G' are assembled in place, in that order.
     """
     g, dg = np.empty_like(v), np.empty_like(v)
     ctw = (ct * w).T
-    size = max(1, _BLOCK_ELEMENTS // len(ct))
-    for lo in range(0, len(v), size):
-        block = v[lo : lo + size]
-        t = np.empty((len(ct), len(block)), dtype=complex)
-        np.multiply(ct, block.view(float), out=t.view(float))  # c t v
-        t += 1
+    for s, t in _blocks(ct, v):
         np.reciprocal(t, out=t)
-        g[lo : lo + size] = _row_times(w.T, t)
+        g[s] = _row_times(w.T, t)
         t *= t
-        dg[lo : lo + size] = _row_times(ctw, t)
+        dg[s] = _row_times(ctw, t)
         del t  # freed before the next block is formed: one block at a time
     zu = z * u
     zu -= a
@@ -236,13 +245,13 @@ def _continue(ct, w, a, b, x, eta, top):
     u + du/dz i (h_new - h), or u where that is not finite or has
     Im u <= 0.  Where the bins are narrower than the grid spacing every
     point is its own bin, so the low levels and a graded or non-uniform
-    grid take the same path; a level whose every point was solved
-    interpolates nothing.  A solved point whose start was already
-    within _LEVEL_TOL of its root, on Newton's scale max(1 - a, |u|),
-    leaves the descent: after anchoring its level's interpolation, it
-    takes its tangent straight to eta (h_new = eta).  The level at eta
-    solves every point to _NEWTON_TOL and returns what _newton returns
-    there.
+    grid take the same path; there the interpolation's nodes are the
+    points themselves, and np.interp returns the solved values exactly.
+    A solved point whose start was already within _LEVEL_TOL of its root,
+    on Newton's scale max(1 - a, |u|), leaves the descent: after
+    anchoring its level's interpolation, it takes its tangent straight to
+    eta (h_new = eta).  The level at eta solves every point to _NEWTON_TOL
+    and returns what _newton returns there.
     """
     h = max(top, eta)
     u = -(1 - a) / (x + 1j * h)
@@ -266,15 +275,12 @@ def _continue(ct, w, a, b, x, eta, top):
         leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1 - a, np.abs(roots))
         # the next start: at the next level, or at eta for a point that leaves
         dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
-        spread = len(sub) < len(xl)  # else every point is its own bin and was solved
-        ul = np.interp(xl, xs, roots) if spread else roots
+        ul = np.interp(xl, xs, roots)
         with np.errstate(all="ignore"):
             shift = b / zs  # shift/zs, not b/zs^2: at tiny c it cancels (roots + shift)/G' exactly
             tangent = shift / zs - (roots + shift) / slope
             tangent[~np.isfinite(tangent)] = 0
-            if spread:
-                tangent = np.interp(xl, xs, tangent)
-            guess = ul + tangent * dz
+            guess = ul + np.interp(xl, xs, tangent) * dz
         u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
         live = live[~leave]
 
@@ -364,16 +370,14 @@ def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
     written with no term of size 1/c.  The atan2 term takes back the zero
     atom's Lorentzian tail at height eta, and the last one keeps the atom
     out of F below 0, so a node at exactly 0 takes the right limit and
-    includes it.  The atoms x points array of args is formed for at most
-    _BLOCK_ELEMENTS of its elements at a time.
+    includes it.  The args are taken block by block from _blocks.
     """
     ct, w, a, b = _columns(p)
     z = x + 1j * eta
     v = u + b / z
     args = np.empty(len(x))
-    size = max(1, _BLOCK_ELEMENTS // len(ct))
-    for lo in range(0, len(x), size):
-        args[lo : lo + size] = (w.T @ np.angle(1 + ct * v[lo : lo + size]))[0]
+    for s, t in _blocks(ct, v):
+        args[s] = (w.T @ np.angle(t))[0]
     zu = z * u
     bracket = zu.imag - args + np.angle(-zu - b) / p.c - np.angle(z)
     return 1 + bracket / math.pi + a / math.pi * np.arctan2(eta, x) - a * (x < 0)

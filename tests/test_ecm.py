@@ -121,11 +121,20 @@ class TestEnsembleSpectrum:
         with pytest.raises(ValueError):
             EnsembleSpectrum(values=np.array([]))
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan, -5.0]])
+    def test_rejects_non_finite_values(self, values):
+        # the first two used to be accepted, and classify read [nan, 1] as one atom at 1
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpectrum(values=np.array(values))
+
     def test_rejects_a_negative_eigenvalue_beyond_round_off(self):
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            EnsembleSpectrum(values=np.array([1.0, -1e-9]))
+        # with no positive eigenvalue the check used to be skipped, and both
+        # of the last two were clipped to [0, 0]
+        for values in ([1.0, -1e-9], [0.0, -1.0], [-1.0, -2.0]):
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                EnsembleSpectrum(values=np.array(values))
         # round-off below 1e-10 of the largest is clipped to zero
-        assert EnsembleSpectrum(values=np.array([1.0, -1e-11])).values[-1] == 0.0
+        assert EnsembleSpectrum(values=np.array([1.0, -1e-11])).values.tolist() == [1.0, 0.0]
 
     def test_stores_only_the_values(self):
         spectrum = EnsembleSpectrum(values=[3.0, 2.0, 1.0])

@@ -76,9 +76,17 @@ class TestHermitianEigenvalues:
         vals = hermitian_eigenvalues(a)
         assert abs(vals.sum() - np.trace(a).real) <= 1e-9 * np.linalg.norm(a)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_rejects_non_hermitian(self, scale):
+        # at 1e160 the squared norms overflowed to inf and at 1e-170 they
+        # underflowed to 0, and the defect test passed this matrix as Hermitian
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex) * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_accepts_a_hermitian_matrix_at_any_scale(self, scale):
+        a = np.array([[2.0, 1j], [-1j, 2.0]]) * scale
+        np.testing.assert_allclose(hermitian_eigenvalues(a), [3 * scale, scale], rtol=1e-12)
 
     @staticmethod
     def with_defect(ratio):
@@ -122,7 +130,7 @@ class TestSqrtPsd:
         np.testing.assert_allclose(sqrt_psd(p), p, atol=1e-14)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
             sqrt_psd(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize(

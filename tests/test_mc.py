@@ -1,8 +1,10 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+import isoedf.mc
 from isoedf import (
     ArrayNoiseConfig,
     McConfig,
@@ -149,6 +151,23 @@ class TestRunMc:
         np.testing.assert_array_equal(serial.pooled, threaded.pooled)
         np.testing.assert_array_equal(serial.per_trial, threaded.per_trial)
         np.testing.assert_array_equal(serial.hist_heights, threaded.hist_heights)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_a_failing_trial_raises_its_error_and_leaves_no_thread(self, monkeypatch, threads):
+        failure = ArithmeticError("trial 4 failed")
+
+        def scm_failing_on_trial_4(sigma_half, l, stream):
+            if stream.bit_generator.state["state"]["key"][1] == 4:
+                raise failure
+            return scm_eigenvalues(sigma_half, l, stream)
+
+        monkeypatch.setattr(isoedf.mc, "scm_eigenvalues", scm_failing_on_trial_4)
+        monkeypatch.setenv("ISO_EDF_THREADS", threads)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            run_mc(McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=7))
+        assert raised.value is failure
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", ["0", "-1", "abc", "1.5", " 2", ""])
     def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):

@@ -61,6 +61,15 @@ def test_empirical_spectrum_rejects_an_empty_per_trial():
             EmpiricalSpectrum(per_trial=per_trial, bins=75)
 
 
+def test_empirical_spectrum_rejects_a_negative_eigenvalue_beyond_round_off():
+    # -5 used to be snapped to 0.0 and counted as a rank-deficiency zero
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        EmpiricalSpectrum(per_trial=[[3.0, 1.0, -5.0]], bins=3)
+    # round-off below 1e-10 of the largest is a zero eigenvalue
+    emp = EmpiricalSpectrum(per_trial=[[3.0, 1.0, -1e-12]], bins=3)
+    assert emp.pooled.tolist() == [0.0, 1.0, 3.0] and emp.zero_count == 1
+
+
 @pytest.mark.parametrize("ks,l1,what", [(1.5, 0.1, "ks"), (0.1, -1.0, "l1")])
 def test_report_rejects_distances_out_of_range(ks, l1, what):
     with pytest.raises(ValueError, match=what):
