@@ -115,17 +115,23 @@ def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
     for odd n the even block is bordered by sqrt(2) T[:m, m] and T[m, m].
     Both blocks are read straight off the first row r of T:
     A[i, j] = r[|i - j|] and JB[i, j] = r[n-1-i-j], so T itself is never
-    formed.
+    formed.  The even block, bordered or not, is written into one array,
+    solved and dropped before A - JB is formed, so no more than one
+    half-block and LAPACK's copy of it are held at a time: at n = 1024
+    that is two 512 x 512 arrays, not three.
     """
     row = _j0_row(cfg)
     n = cfg.n
     m = n // 2
     a = _toeplitz(row[:m])
     jb = sliding_window_view(row[::-1], m)[:m]
-    even = a + jb
+    even = np.empty((n - m, n - m))
+    np.add(a, jb, out=even[:m, :m])
     if n % 2:
-        border = math.sqrt(2) * row[m:0:-1, None]
-        even = np.block([[even, border], [border.T, row[:1, None]]])
-    values = np.concatenate([sym_eigenvalues(even), sym_eigenvalues(a - jb)])
+        even[m, :m] = even[:m, m] = math.sqrt(2) * row[m:0:-1]
+        even[m, m] = row[0]
+    values = sym_eigenvalues(even)
+    del even  # freed before a - jb is formed: one half-block at a time
+    values = np.concatenate([values, sym_eigenvalues(a - jb)])
     return EnsembleSpectrum(values=np.sort(values)[::-1])
 

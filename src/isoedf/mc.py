@@ -20,7 +20,6 @@ Philox per trial.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,7 +190,12 @@ def _worker_count(trials: int) -> int:
 
 
 def run_mc(mc: McConfig) -> EmpiricalSpectrum:
-    """Eigenvalues of every trial, pooled and histogrammed by EmpiricalSpectrum."""
+    """Eigenvalues of every trial, pooled and histogrammed by EmpiricalSpectrum.
+
+    Trials run on `_worker_count` threads.  `concurrent.futures` (which
+    loads `logging`) is imported only where more than one is asked for, so
+    `import isoedf` and a one-thread run never load it.
+    """
     sigma_half = sqrt_psd(build_ecm(mc.cfg))
     n, l = mc.cfg.n, mc.snapshots
     per_trial = np.empty((mc.trials, n))
@@ -210,6 +214,8 @@ def run_mc(mc: McConfig) -> EmpiricalSpectrum:
     if workers == 1:
         run_range(0, mc.trials)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging too
+
         bounds = np.linspace(0, mc.trials, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [

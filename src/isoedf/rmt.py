@@ -172,10 +172,11 @@ def _blocks(ct, v):
 
     Each block is a fresh atoms x points array that the caller may
     overwrite.  It is dropped here before the next one is formed, so a
-    caller that drops it too holds one block at a time.  c t_i v_j is
-    written as one real product of the column c t with the interleaved
-    (re, im) pairs of a contiguous v: that is the complex product exactly
-    while Im v > 0, and at most a zero's sign away from it elsewhere.
+    caller that drops it too, as _g and _cdf do, holds one block at a
+    time.  c t_i v_j is written as one real product of the column c t
+    with the interleaved (re, im) pairs of a contiguous v: that is the
+    complex product exactly while Im v > 0, and at most a zero's sign
+    away from it elsewhere.
     """
     size = max(1, _BLOCK_ELEMENTS // len(ct))
     for lo in range(0, len(v), size):
@@ -370,7 +371,8 @@ def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
     written with no term of size 1/c.  The atan2 term takes back the zero
     atom's Lorentzian tail at height eta, and the last one keeps the atom
     out of F below 0, so a node at exactly 0 takes the right limit and
-    includes it.  The args are taken block by block from _blocks.
+    includes it.  The args are taken block by block from _blocks, each
+    block dropped before the next is formed, as in _g.
     """
     ct, w, a, b = _columns(p)
     z = x + 1j * eta
@@ -378,6 +380,7 @@ def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
     args = np.empty(len(x))
     for s, t in _blocks(ct, v):
         args[s] = (w.T @ np.angle(t))[0]
+        del t  # freed before the next block is formed: one block at a time
     zu = z * u
     bracket = zu.imag - args + np.angle(-zu - b) / p.c - np.angle(z)
     return 1 + bracket / math.pi + a / math.pi * np.arctan2(eta, x) - a * (x < 0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import isoedf.rmt
 from isoedf import (
     AtomicMeasure,
     ArrayNoiseConfig,
@@ -20,6 +21,7 @@ from isoedf import (
     predict_edf,
     run_mc,
 )
+from test_ecm import traced_peak
 
 
 def unit_atom(c):
@@ -118,3 +120,12 @@ def test_full_model_ks_against_mc_at_n204():
     density = predict_edf(cfg, 1.5, mode="full").density
     emp = run_mc(McConfig(cfg, snapshots=136, trials=600, seed=0))
     assert compare(density, emp).ks <= 0.003
+
+
+def test_cdf_holds_one_block_at_a_time():
+    # the full N = 256 measure over 1500 nodes takes 6 blocks of _blocks; one
+    # block and its args read 1.57 MiB, and two blocks at once 2.19 MiB
+    d = predict_edf(ArrayNoiseConfig(256), 1.5, mode="full").density
+    assert len(d.problem.measure.atoms) * len(d.grid) > 5 * isoedf.rmt._BLOCK_ELEMENTS
+    _, peak = traced_peak(lambda: d.cdf)
+    assert peak < 1.75 * 16 * isoedf.rmt._BLOCK_ELEMENTS

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,18 @@ from isoedf import (
     ensemble_spectrum,
 )
 from test_mc_stream import assert_matches_the_oracle, oracle_scm_eigenvalues
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, threads: str = "1") -> str:
+    """Stdout of `code` run by a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), ISO_EDF_THREADS=threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestGaussianSnapshots:
@@ -168,6 +184,19 @@ class TestRunMc:
             run_mc(McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=7))
         assert raised.value is failure
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads, pooled", [("1", False), ("3", True)])
+    def test_the_thread_pool_is_imported_only_for_more_than_one_worker(self, threads, pooled):
+        # concurrent.futures loads logging too: ~0.6 MB of RSS that a
+        # one-thread run, the default, never needs
+        out = run_fresh(
+            "import sys, isoedf\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            "isoedf.run_mc(isoedf.McConfig(isoedf.ArrayNoiseConfig(12), 8, trials=6))\n"
+            "print('concurrent.futures' in sys.modules)\n",
+            threads,
+        )
+        assert out.split() == ["False", str(pooled)]
 
     @pytest.mark.parametrize("threads", ["0", "-1", "abc", "1.5", " 2", ""])
     def test_threads_must_be_a_positive_integer(self, monkeypatch, threads):
