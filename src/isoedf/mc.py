@@ -129,6 +129,13 @@ class EmpiricalSpectrum:
     0.0, since only the L x L Gram is solved.  ValueError unless
     `per_trial` is a non-empty 2-D array of finite values with a positive
     maximum.
+
+    Construction holds one pool-sized array beside `per_trial`: `pooled`,
+    the floored copy of the ravelled trials, sorted in place.
+    `zero_count` and the histogram counts are `searchsorted` positions in
+    it, the counts by np.histogram's own rule (each bin [e_i, e_i+1) but
+    the last, which is closed), so they equal np.histogram's, which would
+    sort another copy.
     """
 
     per_trial: np.ndarray = field(repr=False)
@@ -140,20 +147,25 @@ class EmpiricalSpectrum:
 
     def __post_init__(self):
         per_trial = np.asarray(self.per_trial, dtype=float)
-        pooled = np.sort(per_trial.ravel())
-        ok = per_trial.ndim == 2 and per_trial.size and np.isfinite(pooled).all()
-        if not (ok and pooled[-1] > 0):
+        ok = per_trial.ndim == 2 and per_trial.size
+        # the one copy of the pool, floored and then sorted in place; an empty or
+        # non-2-D per_trial floors [0.0], which the test of the maximum refuses
+        pooled = psd_floor(per_trial.ravel() if ok else [0.0])
+        pooled.sort()
+        g_max = float(pooled[-1])  # no value is < 0, so a finite maximum bounds them all
+        if not 0 < g_max < np.inf:
             raise ValueError(
                 "per_trial must be a non-empty 2-D array of finite eigenvalues, not all <= 0"
             )
-        pooled = psd_floor(pooled)
         check_int("bins", self.bins, 1)
-        g_max = float(pooled[-1])
-        zero_count = int(np.count_nonzero(pooled < _ZERO_CLAMP_REL * g_max))
+        zero_count = int(np.searchsorted(pooled, _ZERO_CLAMP_REL * g_max))
         pooled[:zero_count] = 0.0
         edges = np.linspace(0.0, 1.05 * g_max, self.bins + 1)
-        counts, _ = np.histogram(pooled[zero_count:], bins=edges)
-        heights = counts / (len(pooled) * np.diff(edges))
+        # np.histogram's counts, read off the sorted nonzero part: each bin is
+        # half-open [e_i, e_i+1) but the last, which is closed
+        cum = np.searchsorted(pooled[zero_count:], edges, side="left")
+        cum[-1] = np.searchsorted(pooled[zero_count:], edges[-1], side="right")
+        heights = np.diff(cum) / (len(pooled) * np.diff(edges))
         for name, value in (
             ("per_trial", per_trial),
             ("pooled", pooled),

@@ -6,6 +6,14 @@ eigenvalues with proper one-sided limits at the shared atom at zero.
 The predicted CDF is F in closed form from the solved roots at the grid
 nodes, interpolated between them: no quadrature and no rescaling.  An
 L1 density distance against the simulation histogram complements it.
+
+`EmpiricalSpectrum.pooled`, sorted once, is the one pool-sized array
+either distance reads.  The L1 uses its histogram, whose counts
+`EmpiricalSpectrum` read off it by `searchsorted` of the bin edges.  The
+KS walks it in fixed chunks, reading each chunk's ECDF limits by
+`searchsorted` on the whole pool and the model CDF on that chunk alone,
+so every other array `compare` holds is O(chunk) or O(bins + grid),
+however many trials were pooled.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ import numpy as np
 
 from .mc import EmpiricalSpectrum
 from .rmt import SpectralDensity
+
+_CHUNK = 2**12  # pooled values per step of compare's KS walk; bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -39,12 +49,34 @@ def model_cdf(d: SpectralDensity, x) -> np.ndarray | float:
     continuous part F - a [node >= 0] is interpolated linearly and a is
     added back for x >= 0.  Below 0 the CDF is 0, between 0 and the first
     node it takes the first node's value, and beyond the last node it is 1.
+    Besides O(grid) arrays it holds the result, shaped as x, and one
+    boolean mask at a time.
     """
     a = d.zero_mass
     xs = np.asarray(x, dtype=float)
-    inside = np.interp(xs, d.grid, d.cdf - a * (d.grid >= 0)) + a
-    out = np.select([xs < 0, xs > d.grid[-1]], [0.0, 1.0], inside)
-    return out if out.ndim else float(out)
+    # np.interp returns a scalar for a 0-d x; a 0-d mask then indexes the 1-element array whole
+    out = np.atleast_1d(np.interp(xs, d.grid, d.cdf - a * (d.grid >= 0)))
+    out += a
+    out[xs < 0] = 0.0
+    out[xs > d.grid[-1]] = 1.0
+    return out if xs.ndim else float(out[0])
+
+
+def _chunk_ks(model: SpectralDensity, pooled: np.ndarray, lo: int) -> float:
+    """KS over the distinct values of the sorted pool that begin in pooled[lo : lo + _CHUNK].
+
+    A value equal to pooled[lo - 1] began in an earlier chunk, so a run of
+    equal values is taken once; a chunk inside such a run gives 0.  The
+    temporaries are O(chunk) and are freed on return, before the next chunk.
+    """
+    chunk = pooled[lo : lo + _CHUNK]
+    prev = pooled[lo - 1] if lo else np.nan  # NaN differs from every value
+    xs = chunk[np.concatenate(([chunk[0] != prev], chunk[1:] != chunk[:-1]))]
+    f = model_cdf(model, xs)
+    right = np.max(np.abs(f - np.searchsorted(pooled, xs, side="right") / len(pooled)), initial=0)
+    f[xs == 0.0] = 0.0  # the left limit at the atom: model_cdf is 0 below zero
+    left = np.max(np.abs(f - np.searchsorted(pooled, xs, side="left") / len(pooled)), initial=0)
+    return float(max(right, left))
 
 
 def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
@@ -53,20 +85,17 @@ def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     KS is the two-sided sup over the pooled points; at the shared atom at
     zero the pre-jump (left) limits of both CDFs are compared against
     each other, so agreeing zero masses do not register as distance.
-    The distinct pooled values are read off the sorted pool with a
-    neighbour mask: np.unique would sort a copy of it again, and on first
-    use it imports numpy.ma, about 1 MB.
+    The sorted pool is walked in chunks of 4096 values (`_chunk_ks`), and
+    the largest chunk sup is the KS.  A chunk's distinct values are read
+    off it with a neighbour mask, not np.unique, which would sort a copy
+    of the pool again and on first use imports numpy.ma (about 1 MB).
+    Their ECDF limits are `searchsorted` positions in the whole pool and
+    the model CDF is evaluated on them alone, so beside the pool compare
+    holds a few arrays of one chunk and O(bins + grid) ones: about 0.17 MB
+    at a 1500-point grid, for 25 500 pooled values or for a million.
     """
-    pooled = emp.pooled  # ascending, so its distinct values follow each change
-    xs = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))]
-    f_right = model_cdf(model, xs)
-    f_left = np.where(xs == 0.0, 0.0, f_right)  # model_cdf is 0 below zero
-    e_right = emp.ecdf(xs)
-    e_left = np.searchsorted(pooled, xs, side="left") / len(pooled)
-    ks = max(
-        float(np.max(np.abs(f_right - e_right))),
-        float(np.max(np.abs(f_left - e_left))),
-    )
+    pooled = emp.pooled
+    ks = max(_chunk_ks(model, pooled, lo) for lo in range(0, len(pooled), _CHUNK))
 
     mids = 0.5 * (emp.hist_edges[:-1] + emp.hist_edges[1:])
     emp_density = np.interp(model.grid, mids, emp.hist_heights, left=0.0, right=0.0)

@@ -11,6 +11,7 @@ import pytest
 import isoedf.mc
 from isoedf import (
     ArrayNoiseConfig,
+    EmpiricalSpectrum,
     McConfig,
     compare,
     density_curve,
@@ -267,6 +268,44 @@ class TestRunMc:
                 distances.append(compare(density, emp).ks)
             medians.append(sorted(distances)[1])
         assert medians[0] > medians[1] > medians[2]
+
+
+_ULP = 5e-324  # the least subnormal
+
+
+@pytest.mark.parametrize(
+    "per_trial, bins",
+    [
+        # 1.05 x 20 = 21, so the 21 bins have the integer edges 0, 1, ..., 21 and
+        # these values lie on interior edges, some of them more than once
+        ([[20.0, 1.0, 2.0, 2.0, 3.0, 7.0], [5.0, 5.0, 19.0, 0.0, 0.0, 1.0]], 21),
+        # one nonzero value, after a zero run
+        ([[3.0, 0.0, 0.0]], 75),
+        ([[3.0]], 1),
+        # 1.05 x max rounds back to max only for a max a few ulps above 0: then the
+        # top edge is the max, and 8 t lies on the closed top edge, alone in its bin
+        ([[8 * _ULP, 2 * _ULP, 0.0], [_ULP, 0.0, 8 * _ULP]], 8),
+    ],
+    ids=["interior-edges", "one-nonzero-after-zeros", "one-value", "closed-top-edge"],
+)
+def test_histogram_counts_are_numpys(per_trial, bins):
+    # a bin holds [e_i, e_i+1), the last [e_n-1, e_n]: np.histogram's rule
+    with np.errstate(over="ignore"):  # a subnormal bin width overflows the heights
+        emp = EmpiricalSpectrum(per_trial=per_trial, bins=bins)
+        counts, _ = np.histogram(emp.pooled[emp.zero_count :], bins=emp.hist_edges)
+        expected = counts / (len(emp.pooled) * np.diff(emp.hist_edges))
+    np.testing.assert_array_equal(emp.hist_heights, expected)
+    assert emp.hist_heights.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("snapshots", [8, 4])
+def test_histogram_counts_are_numpys_for_zero_runs(snapshots):
+    # L < N: each trial pools N - L exact zeros, which the histogram leaves out
+    emp = run_mc(McConfig(ArrayNoiseConfig(n=12, zeta=0.5), snapshots, trials=40, seed=5))
+    assert emp.zero_count == 40 * (12 - snapshots)
+    counts, _ = np.histogram(emp.pooled[emp.zero_count :], bins=emp.hist_edges)
+    expected = counts / (len(emp.pooled) * np.diff(emp.hist_edges))
+    np.testing.assert_array_equal(emp.hist_heights, expected)
 
 
 def full_measure_from51(cfg51):

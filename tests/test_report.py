@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import isoedf.report
+
 from isoedf import (
     ArrayNoiseConfig,
     ComparisonReport,
@@ -62,6 +64,13 @@ def test_empirical_spectrum_rejects_an_empty_per_trial():
             EmpiricalSpectrum(per_trial=per_trial, bins=75)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_spectrum_rejects_a_non_finite_eigenvalue(bad):
+    # a NaN or -inf fails the round-off floor, +inf the finite maximum
+    with pytest.raises(ValueError, match="negative eigenvalue|finite eigenvalues"):
+        EmpiricalSpectrum(per_trial=[[3.0, bad], [1.0, 2.0]], bins=3)
+
+
 def test_empirical_spectrum_rejects_a_negative_eigenvalue_beyond_round_off():
     # -5 used to be snapped to 0.0 and counted as a rank-deficiency zero
     with pytest.raises(ValueError, match="negative eigenvalue"):
@@ -100,19 +109,60 @@ def test_compare_reads_the_same_distinct_values_as_unique(cfg51, snapshots, ties
     assert compare(model, emp).ks == ks_by_unique(model, emp)
 
 
-def test_compare_peak_is_a_few_copies_of_the_pool():
-    # a fresh interpreter, so that nothing this suite ran has loaded numpy.ma:
-    # np.unique imports it on first use (1.07 MiB), and with it this compare
-    # read 2.43 MiB, against 1.38 MiB (7 copies of the pool) without it
+def pool_of(values):
+    """An EmpiricalSpectrum whose sorted pool is `values`, rows of 2 shuffled."""
+    values = np.random.default_rng(3).permutation(values)
+    return EmpiricalSpectrum(per_trial=values.reshape(-1, 2), bins=75)
+
+
+def test_compare_walks_the_pool_chunk_by_chunk_like_unique(density15):
+    chunk = isoedf.report._CHUNK
+    rng = np.random.default_rng(4)
+    spread = rng.uniform(0.01, 1.2 * density15.grid[-1], 3 * chunk)
+    straddle = spread.copy()
+    straddle.sort()
+    straddle[chunk - 5 : chunk + 7] = straddle[chunk - 5]  # a run across the first boundary
+    pools = {
+        "straddling run": straddle,
+        # zeros past the end of the second chunk, so that one chunk holds no distinct value
+        "long zero run": np.concatenate([np.zeros(2 * chunk + 100), spread[: chunk // 2]]),
+        "ends on a boundary": spread[: 2 * chunk],
+        # each value ten times: runs of ten, some across boundaries
+        "tens": np.repeat(spread[: 3 * chunk // 10], 10),
+        # the ECDF climbs to 0.98 through a narrow cluster that fills the first
+        # chunk, so the sup sits at the chunk's last value
+        "cluster": np.concatenate([0.1 + 1e-9 * np.arange(chunk), np.sort(spread)[-100:]]),
+    }
+    for name, values in pools.items():
+        emp = pool_of(values)
+        assert len(emp.pooled) > chunk, name
+        assert compare(density15, emp).ks == ks_by_unique(density15, emp), name
+    assert pool_of(pools["long zero run"]).zero_count > 2 * chunk
+    assert len(pools["ends on a boundary"]) % chunk == 0
+
+
+def test_compare_peak_is_below_one_pool():
+    # a fresh interpreter, so that a module compare imports on first use would
+    # be counted; model.cdf is read before tracing, so that its one-time
+    # solve (about 1 MB) is not.  The peak is a few arrays of one 4096-value
+    # chunk, 0.17 MB, below the 0.20 MB of 25 500 pooled values and the same
+    # for ten times as many
     out = run_fresh(
         "import tracemalloc\n"
-        "from isoedf import ArrayNoiseConfig, McConfig, compare, predict_edf, run_mc\n"
+        "import numpy as np\n"
+        "from isoedf import ArrayNoiseConfig, EmpiricalSpectrum, McConfig, compare, predict_edf, run_mc\n"
         "cfg = ArrayNoiseConfig(51)\n"
         "emp = run_mc(McConfig(cfg, 204, trials=500, seed=1))\n"
+        "scale = emp.pooled[-1]\n"
+        "big = EmpiricalSpectrum(np.random.default_rng(1).uniform(0, scale, (5000, 51)), 75)\n"
         "model = predict_edf(cfg, 0.25).density\n"
-        "tracemalloc.start()\n"
-        "compare(model, emp)\n"
-        "print(tracemalloc.get_traced_memory()[1], emp.pooled.nbytes)\n"
+        "model.cdf\n"
+        "for pool in (emp, big):\n"
+        "    tracemalloc.start()\n"
+        "    compare(model, pool)\n"
+        "    print(tracemalloc.get_traced_memory()[1], pool.pooled.nbytes)\n"
+        "    tracemalloc.stop()\n"
     )
-    peak, pool = map(int, out.split())
-    assert peak < 9.5 * pool
+    (peak, pool), (big_peak, big_pool) = [map(int, line.split()) for line in out.splitlines()]
+    assert big_pool == 10 * pool
+    assert peak < pool and big_peak < pool
