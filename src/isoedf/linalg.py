@@ -92,6 +92,16 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, a, "Hermitian eigensolver")[::-1].copy()
 
 
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """All singular values of a matrix, sorted descending, with no singular vectors.
+
+    LAPACK's divide and conquer SVD (`gesdd`) of the m x n matrix a gives
+    min(m, n) values.  There is no input gate: a caller that can hand in a
+    non-finite entry checks for it first.
+    """
+    return _lapack(np.linalg.svdvals, a, "singular value decomposition")
+
+
 def sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root B with B @ B ~= a.
 

@@ -1,19 +1,26 @@
 """Monte Carlo ground truth: Wishart trials, sample covariances, pooling.
 
-Each trial draws the sample covariance (1/L) A G G^H A^T of N x L proper
-complex Gaussians G, coloured by the real covariance square root A, by the
-Bartlett decomposition of the complex Wishart matrix (Goodman, Ann. Math.
-Statist. 34, 1963): G G^H has the law of T T^H for a lower-trapezoidal
-N x min(N, L) factor T, so a trial draws about N min(N, L)/2 normals and
-min(N, L) gammas, not N L normals.  The eigenvalues, taken from whichever
-Gram of A T is smaller, are pooled over trials.  A trial allocates its
-few arrays afresh, none of size N x L.  Every trial draws from a
-counter-based Philox stream keyed by (seed, trial), which makes the result
-bit-identical no matter how trials are distributed over workers, for a
-fixed numpy and BLAS build and thread count: the bits depend on the
-algorithms of numpy's `Generator.standard_normal` and `standard_gamma`,
-and at N = 51, L = 204 one OpenBLAS thread and two gave eigenvalues that
-differ by up to 7.2e-15 relative in every trial.  Each worker re-keys one
+Each trial draws the eigenvalues of the sample covariance (1/L) X X^H of
+X = A G, N x L proper complex Gaussians G coloured by a covariance square
+root A.  With Sigma = U Lambda U^T, U^T G has the law of G, so the
+eigenvalues have the law of those of (1/L) D G G^H D for the diagonal
+D = Lambda^(1/2): a trial is coloured by the scales sqrt(lambda) of the
+cached ensemble spectrum, and never forms the N x N covariance, its
+square root or a colouring product.  G G^H is drawn by the Bartlett
+decomposition of the complex Wishart matrix (Goodman, Ann. Math. Statist.
+34, 1963): it has the law of T T^H for a lower-trapezoidal N x min(N, L)
+factor T, so a trial draws about N min(N, L)/2 normals and min(N, L)
+gammas, not N L normals.  The eigenvalues are the squared singular values
+of D T over L, from one SVD with no Gram; they are pooled over trials.  A
+trial allocates its few arrays afresh, none of size N x L or N x N.
+Every trial draws from a counter-based Philox stream keyed by (seed,
+trial), which makes the result bit-identical no matter how trials are
+distributed over workers, for a fixed numpy and LAPACK build and BLAS
+thread count: the bits depend on the algorithms of numpy's
+`Generator.standard_normal` and `standard_gamma` and of LAPACK's `gesdd`,
+and at N = 256 (L = 1024 and 128) one OpenBLAS thread and two gave
+eigenvalues that differ by up to 1.3e-15 relative in every trial, though
+at N = 51 (L = 204, 51 and 34) they matched.  Each worker re-keys one
 Philox per trial.
 """
 
@@ -24,8 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ecm import ArrayNoiseConfig, build_ecm, check_int
-from .linalg import hermitian_eigenvalues, psd_floor, sqrt_psd
+from .ecm import ArrayNoiseConfig, check_int, ensemble_spectrum
+from .linalg import psd_floor, singular_values
+
+# No caller here any more: perfbench's tracer looks these three up on this
+# module by name, so they stay importable from it until the benchmark
+# revision (ROADMAP item 11) drops them.
+from .ecm import build_ecm  # noqa: F401
+from .linalg import hermitian_eigenvalues, sqrt_psd  # noqa: F401
 
 _ZERO_CLAMP_REL = 1e-9
 _THREADS_ENV = "ISO_EDF_THREADS"
@@ -76,40 +89,45 @@ def gaussian_snapshots(n: int, l: int, stream: np.random.Generator) -> np.ndarra
     return stream.standard_normal((n, 2 * l)).view(complex) * np.sqrt(0.5)
 
 
-def scm_eigenvalues(sigma_half: np.ndarray, l: int, stream: np.random.Generator) -> np.ndarray:
-    """Eigenvalues (descending) of one sample covariance (1/L) X X^H, X = A G.
+def scm_eigenvalues(scales: np.ndarray, l: int, stream: np.random.Generator) -> np.ndarray:
+    """Eigenvalues (descending) of one sample covariance (1/L) X X^H, X = D G.
 
+    D = diag(scales): run_mc passes sqrt(lambda) of the ensemble spectrum,
+    which gives the eigenvalue law of any X = A G with A A^T = Sigma.
     Drawn by the Bartlett decomposition, with k = min(n, L): the entries
     of the n x k factor T below its diagonal are `gaussian_snapshots`
     normals, drawn first and laid out row by row, and its diagonal is
     T_ii = sqrt(Gamma(L - i, 1)) for i < k, drawn next by numpy's
-    `standard_gamma`.  A T is coloured by a real GEMM on T viewed as an
-    n x 2k real array, half the flops of the complex product; a complex
-    sigma_half = A is rejected, since that view would silently drop its
-    imaginary part.  The eigenvalues are those of the n x n Gram
-    (1/L) (A T)(A T)^H for L >= n, or of the L x L Gram (1/L) (A T)^H (A T)
-    for L < n, with the n - L rank-deficiency zeros exact 0.0.  A trial
-    allocates T, A T and the Gram afresh, nothing of size n x L, and
-    returns a new array; its bits depend on numpy's Generator normal and
-    gamma algorithms.  ValueError unless n >= 2 (a 1 x 1 factor has no
-    normals to draw) and L >= 1 are integers.
+    `standard_gamma`.  The rows of T are scaled in place by `scales`, and
+    the eigenvalues are s^2 / L for the k singular values s of D T (one
+    `singular_values` call), followed by the n - k rank-deficiency zeros
+    as exact 0.0 when L < n; both parts are already descending.  A trial
+    allocates T and the result afresh, nothing of size n x L or n x n,
+    and returns a new array; its bits depend on numpy's Generator normal
+    and gamma algorithms and on LAPACK's SVD.  ValueError unless `scales`
+    is a real 1-D vector of n >= 2 finite values >= 0 (a 1 x 1 factor has
+    no normals to draw) and L >= 1 is an integer.
     """
-    if np.iscomplexobj(sigma_half):
-        raise ValueError("sigma_half must be real")
-    n = sigma_half.shape[0]
+    if np.iscomplexobj(scales):
+        raise ValueError("scales must be real")
+    scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1:
+        raise ValueError(f"scales must be a vector, got shape {scales.shape}")
+    n = len(scales)
     check_int("n", n, 2)
     check_int("l", l, 1)
+    if not 0 <= scales.min() <= scales.max() < np.inf:  # a NaN is refused too
+        raise ValueError("scales must be finite and >= 0")
     k = min(n, l)
     t = np.zeros((n, k), dtype=complex)
     below = np.tri(n, k, -1, dtype=bool)
     t[below] = gaussian_snapshots(1, np.count_nonzero(below), stream)[0]
     np.fill_diagonal(t, np.sqrt(stream.standard_gamma(l - np.arange(k, dtype=float))))
-    x = (sigma_half @ t.view(float)).view(complex)
-    gram = x @ x.conj().T if l >= n else x.conj().T @ x
-    vals = hermitian_eigenvalues(gram / l)
-    if l >= n:
-        return vals
-    return np.sort(np.concatenate([vals, np.zeros(n - l)]))[::-1]
+    t *= scales[:, None]
+    vals = np.zeros(n)
+    np.square(singular_values(t), out=vals[:k])
+    vals[:k] /= l
+    return vals
 
 
 @dataclass(frozen=True)
@@ -126,16 +144,18 @@ class EmpiricalSpectrum:
     the nonzero part has `bins` equal bins on [0, 1.05 max]; its heights
     are normalized so the continuous area equals the nonzero fraction.
     When L < N the N - L rank-deficiency zeros of each trial are exactly
-    0.0, since only the L x L Gram is solved.  ValueError unless
+    0.0, since a trial's SVD gives only L singular values.  ValueError unless
     `per_trial` is a non-empty 2-D array of finite values with a positive
-    maximum.
+    maximum, and unless the bin width 1.05 max / bins is a normal float,
+    which keeps the heights finite and the top edge above the maximum.
 
     Construction holds one pool-sized array beside `per_trial`: `pooled`,
     the floored copy of the ravelled trials, sorted in place.
     `zero_count` and the histogram counts are `searchsorted` positions in
-    it, the counts by np.histogram's own rule (each bin [e_i, e_i+1) but
-    the last, which is closed), so they equal np.histogram's, which would
-    sort another copy.
+    it.  np.histogram's bins are [e_i, e_i+1) but the last, which is
+    closed; no value reaches the top edge 1.05 max, so the left positions
+    of the edges give np.histogram's counts, and it would sort another
+    copy.
     """
 
     per_trial: np.ndarray = field(repr=False)
@@ -158,13 +178,15 @@ class EmpiricalSpectrum:
                 "per_trial must be a non-empty 2-D array of finite eigenvalues, not all <= 0"
             )
         check_int("bins", self.bins, 1)
+        width = 1.05 * g_max / self.bins
+        if not np.finfo(float).tiny <= width < np.inf:
+            raise ValueError(f"bin width 1.05 max / bins = {width:.3e} is not a normal float")
         zero_count = int(np.searchsorted(pooled, _ZERO_CLAMP_REL * g_max))
         pooled[:zero_count] = 0.0
         edges = np.linspace(0.0, 1.05 * g_max, self.bins + 1)
-        # np.histogram's counts, read off the sorted nonzero part: each bin is
-        # half-open [e_i, e_i+1) but the last, which is closed
-        cum = np.searchsorted(pooled[zero_count:], edges, side="left")
-        cum[-1] = np.searchsorted(pooled[zero_count:], edges[-1], side="right")
+        # np.histogram's counts, read off the sorted nonzero part: every value
+        # is below the top edge, so the closed last bin counts as half-open
+        cum = np.searchsorted(pooled[zero_count:], edges)
         heights = np.diff(cum) / (len(pooled) * np.diff(edges))
         for name, value in (
             ("per_trial", per_trial),
@@ -204,11 +226,14 @@ def _worker_count(trials: int) -> int:
 def run_mc(mc: McConfig) -> EmpiricalSpectrum:
     """Eigenvalues of every trial, pooled and histogrammed by EmpiricalSpectrum.
 
+    Every trial is coloured by scales = sqrt(lambda) of the cached
+    `ensemble_spectrum`, taken once per campaign and shared read-only.
     Trials run on `_worker_count` threads.  `concurrent.futures` (which
     loads `logging`) is imported only where more than one is asked for, so
     `import isoedf` and a one-thread run never load it.
     """
-    sigma_half = sqrt_psd(build_ecm(mc.cfg))
+    scales = np.sqrt(ensemble_spectrum(mc.cfg).values)
+    scales.flags.writeable = False  # shared by every worker
     n, l = mc.cfg.n, mc.snapshots
     per_trial = np.empty((mc.trials, n))
 
@@ -220,7 +245,7 @@ def run_mc(mc: McConfig) -> EmpiricalSpectrum:
             # counter 0 and an empty buffer
             state["state"]["key"][1] = trial
             stream.bit_generator.state = state
-            per_trial[trial] = scm_eigenvalues(sigma_half, l, stream)
+            per_trial[trial] = scm_eigenvalues(scales, l, stream)
 
     workers = _worker_count(mc.trials)
     if workers == 1:

@@ -10,8 +10,8 @@ L1 density distance against the simulation histogram complements it.
 `EmpiricalSpectrum.pooled`, sorted once, is the one pool-sized array
 either distance reads.  The L1 uses its histogram, whose counts
 `EmpiricalSpectrum` read off it by `searchsorted` of the bin edges.  The
-KS walks it in fixed chunks, reading each chunk's ECDF limits by
-`searchsorted` on the whole pool and the model CDF on that chunk alone,
+KS walks it in fixed chunks, reading each chunk's ECDF limits off its
+positions in the pool and the model CDF on that chunk alone,
 so every other array `compare` holds is O(chunk) or O(bins + grid),
 however many trials were pooled.
 """
@@ -67,15 +67,24 @@ def _chunk_ks(model: SpectralDensity, pooled: np.ndarray, lo: int) -> float:
 
     A value equal to pooled[lo - 1] began in an earlier chunk, so a run of
     equal values is taken once; a chunk inside such a run gives 0.  The
-    temporaries are O(chunk) and are freed on return, before the next chunk.
+    ECDF limits are read off the positions: a distinct value first found
+    at pool position p has p values below it, and as many up to it as the
+    next distinct value's position.  Only the chunk's last run, which may
+    continue past the chunk, is searched for its end.  The temporaries are
+    O(chunk) and are freed on return, before the next chunk.
     """
     chunk = pooled[lo : lo + _CHUNK]
     prev = pooled[lo - 1] if lo else np.nan  # NaN differs from every value
-    xs = chunk[np.concatenate(([chunk[0] != prev], chunk[1:] != chunk[:-1]))]
+    # the pool position where each distinct value begins
+    starts = lo + np.flatnonzero(np.concatenate(([chunk[0] != prev], chunk[1:] != chunk[:-1])))
+    if not len(starts):
+        return 0.0
+    xs = pooled[starts]
+    ends = np.append(starts[1:], np.searchsorted(pooled, xs[-1], side="right"))
     f = model_cdf(model, xs)
-    right = np.max(np.abs(f - np.searchsorted(pooled, xs, side="right") / len(pooled)), initial=0)
+    right = np.max(np.abs(f - ends / len(pooled)))
     f[xs == 0.0] = 0.0  # the left limit at the atom: model_cdf is 0 below zero
-    left = np.max(np.abs(f - np.searchsorted(pooled, xs, side="left") / len(pooled)), initial=0)
+    left = np.max(np.abs(f - starts / len(pooled)))
     return float(max(right, left))
 
 
@@ -89,10 +98,11 @@ def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     the largest chunk sup is the KS.  A chunk's distinct values are read
     off it with a neighbour mask, not np.unique, which would sort a copy
     of the pool again and on first use imports numpy.ma (about 1 MB).
-    Their ECDF limits are `searchsorted` positions in the whole pool and
-    the model CDF is evaluated on them alone, so beside the pool compare
-    holds a few arrays of one chunk and O(bins + grid) ones: about 0.17 MB
-    at a 1500-point grid, for 25 500 pooled values or for a million.
+    Their ECDF limits are their positions in the pool, with one search
+    per chunk, and the model CDF is evaluated on them alone, so beside the
+    pool compare holds a few arrays of one chunk and O(bins + grid) ones:
+    about 0.17 MB at a 1500-point grid, for 25 500 pooled values or for a
+    million.
     """
     pooled = emp.pooled
     ks = max(_chunk_ks(model, pooled, lo) for lo in range(0, len(pooled), _CHUNK))

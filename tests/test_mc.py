@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,15 @@ from isoedf import (
     full_measure,
     FmcProblem,
     gaussian_snapshots,
+    hermitian_eigenvalues,
     make_stream,
     run_mc,
     scm_eigenvalues,
-    sqrt_psd,
     build_ecm,
     default_grid,
     ensemble_spectrum,
 )
-from test_mc_stream import assert_matches_the_oracle, oracle_scm_eigenvalues
+from test_mc_stream import bartlett_factor, scales_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,33 +80,52 @@ class TestGaussianSnapshots:
 
 class TestScmEigenvalues:
     def test_white_noise_consistency(self):
-        vals = scm_eigenvalues(np.eye(4), 10_000, make_stream(11, 0))
+        vals = scm_eigenvalues(np.ones(4), 10_000, make_stream(11, 0))
         assert np.all(vals >= 0.9) and np.all(vals <= 1.1)
 
     def test_rank_deficiency(self):
-        vals = scm_eigenvalues(np.eye(4), 2, make_stream(3, 0))
+        vals = scm_eigenvalues(np.ones(4), 2, make_stream(3, 0))
         assert np.count_nonzero(vals > 1e-9 * vals[0]) == 2
-        assert np.all(np.abs(vals[2:]) <= 1e-9 * vals[0])
+        assert np.all(vals[2:] == 0.0)
 
-    @pytest.mark.parametrize("l", [1, 17, 50, 51, 52])
+    @pytest.mark.parametrize("l", [1, 17, 50, 51, 52, 204])
     def test_matches_the_n_by_n_gram(self, l):
-        # the oracle solves the N x N Gram of the same Bartlett factor; for
-        # L < N the trial's L x L Gram gives the nonzero part and N - L exact zeros
+        # the squared singular values of the scaled factor are the eigenvalues
+        # of the N x N Gram of the same factor; for L < N its N - L round-off
+        # eigenvalues are the trial's exact zeros
         n = 51
-        half = sqrt_psd(build_ecm(ArrayNoiseConfig(n=n, zeta=0.5)))
-        got = scm_eigenvalues(half, l, make_stream(8, l))
+        scales = scales_of(ArrayNoiseConfig(n=n, zeta=0.5))
+        got = scm_eigenvalues(scales, l, make_stream(8, l))
         assert got.shape == (n,)
-        assert_matches_the_oracle(got, oracle_scm_eigenvalues(half, l, make_stream(8, l)), l)
+        x = scales[:, None] * bartlett_factor(n, l, make_stream(8, l))
+        gram = hermitian_eigenvalues((x @ x.conj().T) / l)
+        np.testing.assert_allclose(got, gram, rtol=0, atol=1e-12 * gram.max())
+        assert np.all(got[l:] == 0.0)
 
-    def test_rejects_complex_sigma_half(self):
-        with pytest.raises(ValueError):
-            scm_eigenvalues(np.eye(4, dtype=complex), 8, make_stream(0, 0))
+    def test_rejects_complex_scales(self):
+        with pytest.raises(ValueError, match="real"):
+            scm_eigenvalues(np.ones(4, dtype=complex), 8, make_stream(0, 0))
+
+    @pytest.mark.parametrize(
+        "scales",
+        [np.eye(4), [1.0, np.nan], [1.0, np.inf], [1.0, -1e-300]],
+        ids=["matrix", "nan", "inf", "negative"],
+    )
+    def test_rejects_scales_that_are_not_a_finite_nonnegative_vector(self, scales):
+        # the colouring used to be an N x N square root, so a matrix is refused
+        with pytest.raises(ValueError, match="scales"):
+            scm_eigenvalues(scales, 8, make_stream(0, 0))
 
     @pytest.mark.parametrize("n,l", [(4, 0), (4, -1), (4, 2.0), (1, 8)])
     def test_rejects_bad_shape(self, n, l):
         # a 1 x 1 factor has no normals to draw
         with pytest.raises(ValueError, match="must be an integer"):
-            scm_eigenvalues(np.eye(n), l, make_stream(0, 0))
+            scm_eigenvalues(np.ones(n), l, make_stream(0, 0))
+
+    def test_a_zero_scale_gives_a_zero_eigenvalue(self):
+        # up to the SVD's round-off, which EmpiricalSpectrum snaps to 0.0
+        vals = scm_eigenvalues(np.array([2.0, 0.0, 1.0]), 5, make_stream(0, 0))
+        assert vals[1] > 0.1 and 0 <= vals[2] <= 1e-12 * vals[0]
 
     @pytest.mark.parametrize("l", [48, 8])
     def test_trace_moments_match_the_wishart_law(self, l):
@@ -131,7 +151,7 @@ class TestScmEigenvalues:
         total = 0.0
         trials = 200
         for trial in range(trials):
-            vals = scm_eigenvalues(np.eye(8), 16, make_stream(42, trial))
+            vals = scm_eigenvalues(np.ones(8), 16, make_stream(42, trial))
             total += vals.mean()
         assert total / trials == pytest.approx(1.0, abs=0.03)
 
@@ -173,10 +193,10 @@ class TestRunMc:
     def test_a_failing_trial_raises_its_error_and_leaves_no_thread(self, monkeypatch, threads):
         failure = ArithmeticError("trial 4 failed")
 
-        def scm_failing_on_trial_4(sigma_half, l, stream):
+        def scm_failing_on_trial_4(scales, l, stream):
             if stream.bit_generator.state["state"]["key"][1] == 4:
                 raise failure
-            return scm_eigenvalues(sigma_half, l, stream)
+            return scm_eigenvalues(scales, l, stream)
 
         monkeypatch.setattr(isoedf.mc, "scm_eigenvalues", scm_failing_on_trial_4)
         monkeypatch.setenv("ISO_EDF_THREADS", threads)
@@ -227,6 +247,19 @@ class TestRunMc:
             run_mc(dataclasses.replace(cfg, trials=3)).pooled, part.pooled
         )
 
+    def test_a_trial_holds_no_n_by_n_array(self):
+        # the colouring used to form the N x N covariance and its square root
+        # (8 MB each at N = 1024); the scales come from the cached spectrum
+        cfg = ArrayNoiseConfig(n=1024)
+        ensemble_spectrum(cfg)
+        tracemalloc.start()
+        try:
+            run_mc(McConfig(cfg, snapshots=8, trials=1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cfg.n**2
+
     def test_identical_config_identical_result(self):
         cfg = McConfig(cfg=ArrayNoiseConfig(n=8, zeta=0.5), snapshots=16, trials=5, seed=9)
         a, b = run_mc(cfg), run_mc(cfg)
@@ -271,6 +304,7 @@ class TestRunMc:
 
 
 _ULP = 5e-324  # the least subnormal
+_TINY = float(np.finfo(float).tiny)  # the least normal
 
 
 @pytest.mark.parametrize(
@@ -282,20 +316,38 @@ _ULP = 5e-324  # the least subnormal
         # one nonzero value, after a zero run
         ([[3.0, 0.0, 0.0]], 75),
         ([[3.0]], 1),
-        # 1.05 x max rounds back to max only for a max a few ulps above 0: then the
-        # top edge is the max, and 8 t lies on the closed top edge, alone in its bin
-        ([[8 * _ULP, 2 * _ULP, 0.0], [_ULP, 0.0, 8 * _ULP]], 8),
+        # bins 1.05 times the least normal float wide
+        ([[8 * _TINY, _TINY, 0.0], [2 * _TINY, 0.0, 3 * _TINY]], 8),
     ],
-    ids=["interior-edges", "one-nonzero-after-zeros", "one-value", "closed-top-edge"],
+    ids=["interior-edges", "one-nonzero-after-zeros", "one-value", "near-least-normal-width"],
 )
 def test_histogram_counts_are_numpys(per_trial, bins):
-    # a bin holds [e_i, e_i+1), the last [e_n-1, e_n]: np.histogram's rule
-    with np.errstate(over="ignore"):  # a subnormal bin width overflows the heights
-        emp = EmpiricalSpectrum(per_trial=per_trial, bins=bins)
-        counts, _ = np.histogram(emp.pooled[emp.zero_count :], bins=emp.hist_edges)
-        expected = counts / (len(emp.pooled) * np.diff(emp.hist_edges))
+    # a bin holds [e_i, e_i+1), the last [e_n-1, e_n]: np.histogram's rule,
+    # and no value reaches the top edge 1.05 max
+    emp = EmpiricalSpectrum(per_trial=per_trial, bins=bins)
+    counts, _ = np.histogram(emp.pooled[emp.zero_count :], bins=emp.hist_edges)
+    expected = counts / (len(emp.pooled) * np.diff(emp.hist_edges))
     np.testing.assert_array_equal(emp.hist_heights, expected)
     assert emp.hist_heights.dtype == expected.dtype
+    assert np.all(np.isfinite(emp.hist_heights))
+
+
+@pytest.mark.parametrize(
+    "per_trial, bins",
+    [
+        # 1.05 x max rounds back to max for a max a few ulps above 0, and the
+        # bins are one ulp wide: the heights used to overflow to inf
+        ([[8 * _ULP, 2 * _ULP, 0.0], [_ULP, 0.0, 8 * _ULP]], 8),
+        # a normal maximum, but too many bins for it
+        ([[1e-305, 0.0]], 10**4),
+        # the top edge 1.05 max overflows
+        ([[1.75e308, 1.0]], 75),
+    ],
+    ids=["subnormal-max", "subnormal-width", "top-edge-overflows"],
+)
+def test_histogram_refuses_a_bin_width_that_is_not_a_normal_float(per_trial, bins):
+    with pytest.raises(ValueError, match="bin width"):
+        EmpiricalSpectrum(per_trial=per_trial, bins=bins)
 
 
 @pytest.mark.parametrize("snapshots", [8, 4])
@@ -318,8 +370,8 @@ class TestSqrtConsistency:
     def test_colored_mean_covariance(self):
         # E[(1/L) X X^H] = Sigma: check the trace across a few trials
         cfg = ArrayNoiseConfig(n=8, zeta=0.5)
-        half = sqrt_psd(build_ecm(cfg))
+        scales = scales_of(cfg)
         total = 0.0
         for trial in range(100):
-            total += scm_eigenvalues(half, 32, make_stream(17, trial)).sum()
+            total += scm_eigenvalues(scales, 32, make_stream(17, trial)).sum()
         assert total / 100 == pytest.approx(8.0, abs=0.25)
