@@ -112,7 +112,7 @@ class TestScmEigenvalues:
         ids=["matrix", "nan", "inf", "negative"],
     )
     def test_rejects_scales_that_are_not_a_finite_nonnegative_vector(self, scales):
-        # the colouring used to be an N x N square root, so a matrix is refused
+        # a matrix, such as a covariance square root, is not a vector of scales
         with pytest.raises(ValueError, match="scales"):
             scm_eigenvalues(scales, 8, make_stream(0, 0))
 
@@ -248,8 +248,8 @@ class TestRunMc:
         )
 
     def test_a_trial_holds_no_n_by_n_array(self):
-        # the colouring used to form the N x N covariance and its square root
-        # (8 MB each at N = 1024); the scales come from the cached spectrum
+        # the N x N covariance or its square root would be 8 MB at N = 1024;
+        # the scales come from the cached spectrum
         cfg = ArrayNoiseConfig(n=1024)
         ensemble_spectrum(cfg)
         tracemalloc.start()

@@ -7,10 +7,10 @@ T's rows scaled by `scales`, its squared singular values over L, and the
 N - L exact zeros appended for L < N.  `run_mc` has to give its bits
 trial for trial, for every L and any worker count.
 
-`dense_scm_eigenvalues` is the trial as it was before the diagonal
-colouring: T coloured by the dense square root A of the covariance, and
-the eigenvalues of the N x N Gram (1/L) (A T)(A T)^H.  It draws the same
-law, which `test_run_mc_draws_the_law_of_the_dense_colouring` checks.
+`dense_scm_eigenvalues` colours T by the dense square root A of the
+covariance and takes the eigenvalues of the N x N Gram (1/L) (A T)(A T)^H.
+That is the same law, which `test_run_mc_draws_the_law_of_the_dense_colouring`
+checks.
 """
 
 import math
