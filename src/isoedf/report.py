@@ -10,10 +10,11 @@ L1 density distance against the simulation histogram complements it.
 `EmpiricalSpectrum.pooled`, sorted once, is the one pool-sized array
 either distance reads.  The L1 uses its histogram, whose counts
 `EmpiricalSpectrum` read off it by `searchsorted` of the bin edges.  The
-KS walks it in fixed chunks, reading each chunk's ECDF limits off its
-positions in the pool and the model CDF on that chunk alone,
-so every other array `compare` holds is O(chunk) or O(bins + grid),
-however many trials were pooled.
+KS takes the zero atom in one comparison and walks the nonzero values in
+fixed chunks, reading each value's ECDF limits off its position in the
+pool and the model CDF on that chunk alone, so every other array
+`compare` holds is O(chunk) or O(bins + grid), however many trials were
+pooled.
 """
 
 from __future__ import annotations
@@ -63,49 +64,39 @@ def model_cdf(d: SpectralDensity, x) -> np.ndarray | float:
 
 
 def _chunk_ks(model: SpectralDensity, pooled: np.ndarray, lo: int) -> float:
-    """KS over the distinct values of the sorted pool that begin in pooled[lo : lo + _CHUNK].
+    """KS over pooled[lo : lo + _CHUNK], a chunk of the sorted pool's nonzero values.
 
-    A value equal to pooled[lo - 1] began in an earlier chunk, so a run of
-    equal values is taken once; a chunk inside such a run gives 0.  The
-    ECDF limits are read off the positions: a distinct value first found
-    at pool position p has p values below it, and as many up to it as the
-    next distinct value's position.  Only the chunk's last run, which may
-    continue past the chunk, is searched for its end.  The temporaries are
+    The value at pool position i has i values before it and i + 1 up to
+    it, so its ECDF limits are i/n and (i + 1)/n; the model CDF is
+    continuous away from 0, so both of its limits there are F(x).  Over a
+    run of equal values the largest distance falls at the run's ends, so
+    every value is taken as it is, ties included.  The temporaries are
     O(chunk) and are freed on return, before the next chunk.
     """
-    chunk = pooled[lo : lo + _CHUNK]
-    prev = pooled[lo - 1] if lo else np.nan  # NaN differs from every value
-    # the pool position where each distinct value begins
-    starts = lo + np.flatnonzero(np.concatenate(([chunk[0] != prev], chunk[1:] != chunk[:-1])))
-    if not len(starts):
-        return 0.0
-    xs = pooled[starts]
-    ends = np.append(starts[1:], np.searchsorted(pooled, xs[-1], side="right"))
-    f = model_cdf(model, xs)
-    right = np.max(np.abs(f - ends / len(pooled)))
-    f[xs == 0.0] = 0.0  # the left limit at the atom: model_cdf is 0 below zero
-    left = np.max(np.abs(f - starts / len(pooled)))
-    return float(max(right, left))
+    f = model_cdf(model, pooled[lo : lo + _CHUNK])
+    i = np.arange(lo, lo + len(f))
+    n = len(pooled)
+    return float(max(np.max(np.abs(f - i / n)), np.max(np.abs(f - (i + 1) / n))))
 
 
 def compare(model: SpectralDensity, emp: EmpiricalSpectrum) -> ComparisonReport:
     """KS and L1 distances between a predicted density and pooled eigenvalues.
 
-    KS is the two-sided sup over the pooled points; at the shared atom at
-    zero the pre-jump (left) limits of both CDFs are compared against
-    each other, so agreeing zero masses do not register as distance.
-    The sorted pool is walked in chunks of 4096 values (`_chunk_ks`), and
-    the largest chunk sup is the KS.  A chunk's distinct values are read
-    off it with a neighbour mask, not np.unique, which would sort a copy
-    of the pool again and on first use imports numpy.ma (about 1 MB).
-    Their ECDF limits are their positions in the pool, with one search
-    per chunk, and the model CDF is evaluated on them alone, so beside the
-    pool compare holds a few arrays of one chunk and O(bins + grid) ones:
-    about 0.17 MB at a 1500-point grid, for 25 500 pooled values or for a
+    KS is the two-sided sup over the pooled points and zero.  At zero,
+    where the model's atom sits, both CDFs' left limits are 0, so
+    agreeing zero masses do not register as distance and zero is one
+    comparison, |F(0) - zero_count/n|.  The sorted pool's nonzero part is
+    walked in chunks of 4096 values (`_chunk_ks`), each value's ECDF
+    limits read off its position and the model CDF evaluated on the chunk
+    alone, and the largest of these sups is the KS.  Beside the pool,
+    compare holds a few arrays of one chunk and O(bins + grid) ones: about
+    0.17 MB at a 1500-point grid, for 25 500 pooled values or for a
     million.
     """
-    pooled = emp.pooled
-    ks = max(_chunk_ks(model, pooled, lo) for lo in range(0, len(pooled), _CHUNK))
+    pooled, zeros = emp.pooled, emp.zero_count
+    ks = abs(model_cdf(model, 0.0) - zeros / len(pooled))
+    for lo in range(zeros, len(pooled), _CHUNK):
+        ks = max(ks, _chunk_ks(model, pooled, lo))
 
     mids = 0.5 * (emp.hist_edges[:-1] + emp.hist_edges[1:])
     emp_density = np.interp(model.grid, mids, emp.hist_heights, left=0.0, right=0.0)

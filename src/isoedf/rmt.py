@@ -22,20 +22,22 @@ to eta by a factor of 0.03 per level, each level starting from the root
 above moved along its tangent.  A level above eta only supplies the
 start of the next, so it is solved to a relative step of 1e-4 and only
 on a subgrid: one grid point per bin of width 2 Im z plus the last
-point.  The tangent du/dz is formed at those solved points from
-Newton's own G' there, and the roots and tangents are interpolated
-linearly onto the rest.  A solved point whose start was already within
-1e-4 of its root takes no further level: it moves along its tangent
-straight to eta.  At those heights m is smooth on the scale of Im z, so
-against solving every point at every level the curves move by at most
-4.3e-14 of their maximum (3.8e-15 on the benchmark scenarios).  Every
-point is solved at eta, to a step of 1e-14; Newton's stop and a level's
-leave test measure against one scale, max(1 - a, |u|), where 1 - a is
-the continuous part's mass.  The last Newton sweep is the acceptance
-test: Newton returns the iterate at which G was last evaluated with G
-and G' there, and a point whose root has Im u <= 0 or a residual above
-1e-10 raises SolverError.  The density is Im u/pi, and the CDF is read
-from the same roots in closed form, with no quadrature (_cdf).
+point.  Only a root that Newton landed, one whose full step from the
+last iterate stays above the real axis, anchors its level: the tangent
+du/dz is formed at those roots from Newton's own G' there, and the
+roots and tangents are interpolated linearly onto the rest.  A landed
+point whose start was already within 1e-4 of its root takes no further
+level: it moves along its tangent straight to eta.  At those heights m
+is smooth on the scale of Im z, so against solving every point at every
+level the curves move by at most 4.3e-14 of their maximum (3.8e-15 on
+the benchmark scenarios).  Every point is solved at eta, to a step of
+1e-14; Newton's stop and a level's leave test measure against one
+scale, max(1 - a, |u|), where 1 - a is the continuous part's mass.  The
+last Newton sweep is the acceptance test: Newton returns the iterate
+at which G was last evaluated with G and G' there, and a point whose
+root has Im u <= 0 or a residual above 1e-10 raises SolverError.  The
+density is Im u/pi, and the CDF is read from the same roots in closed
+form, with no quadrature (_cdf).
 """
 
 from __future__ import annotations
@@ -123,15 +125,16 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
     ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
-    once per call (it is 0 for c >= 1).  Each step takes G and G' from _g:
-    the first sweep at every start as given, with no gather or scatter,
-    and the later ones at the points still moving.  A step that would take
-    Im u from positive to nonpositive is cut to land at half the old
-    height, so an iterate never leaves the half plane that holds the root;
-    the arrays are touched for the cut only where a tentative iterate has
-    Im u <= 0.  A point stops once its step is at most
-    tol relative to max(1 - a, |u|): 1 - a is the continuous part's mass,
-    the scale of the far-field start -(1 - a)/z, and 1 for c <= 1.
+    once per call (it is 0 for c >= 1).  Each sweep takes G and G' from _g
+    at the points still moving, picked by todo: on the first sweep a
+    slice of every point, which copies the arrays whole where an index
+    would gather and scatter them, and after it an index.  A step that
+    would take Im u from positive to nonpositive is cut to land at half
+    the old height, so an iterate never leaves the half plane that holds
+    the root; the arrays are touched for the cut only where a tentative
+    iterate has Im u <= 0.  A point stops once its step is at most tol
+    relative to max(1 - a, |u|): 1 - a is the continuous part's mass, the
+    scale of the far-field start -(1 - a)/z, and 1 for c <= 1.
 
     Returns the corrected roots u - step, and the iterates at which G was
     last evaluated together with G and G' there: the acceptance test runs
@@ -140,16 +143,14 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     final step, at most tol relative, of the corrected roots; a point
     that runs out of iterations returns its last evaluated iterate too.
     """
-    at = np.array(u, dtype=complex)
+    u = np.array(u, dtype=complex)
+    at, g_at, dg_at = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     shift = b / z
-    g_at, dg_at = _g(ct, w, a, z, at, at + shift)
-    ui, g, dg = at, g_at, dg_at
-    todo = np.arange(len(at))
-    for sweep in range(_NEWTON_MAX_ITER):
-        if sweep:
-            ui = u[todo]
-            g, dg = _g(ct, w, a, z[todo], ui, ui + shift[todo])
-            at[todo], g_at[todo], dg_at[todo] = ui, g, dg
+    index, todo = np.arange(len(u)), slice(None)
+    for _ in range(_NEWTON_MAX_ITER):
+        ui = u[todo]
+        g, dg = _g(ct, w, a, z[todo], ui, ui + shift[todo])
+        at[todo], g_at[todo], dg_at[todo] = ui, g, dg
         step = g / dg
         new = ui - step
         low = new.imag <= 0
@@ -157,11 +158,8 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
             low &= ui.imag > 0
             step[low] *= 0.5 * ui.imag[low] / step.imag[low]  # to half the old height
             new[low] = ui[low] - step[low]
-        if sweep:
-            u[todo] = new
-        else:
-            u = new
-        todo = todo[np.abs(step) > tol * np.maximum(1 - a, np.abs(new))]
+        u[todo] = new
+        todo = index[todo][np.abs(step) > tol * np.maximum(1 - a, np.abs(new))]
         if not len(todo):
             break
     return u, at, g_at, dg_at
@@ -176,7 +174,10 @@ def _blocks(ct, v):
     time.  c t_i v_j is written as one real product of the column c t
     with the interleaved (re, im) pairs of a contiguous v: that is the
     complex product exactly while Im v > 0, and at most a zero's sign
-    away from it elsewhere.
+    away from it elsewhere.  The plain ct * v, which casts ct to complex,
+    gives the same bits but not the same time: on the mc_n51 benchmark's
+    reduced N = 51 predictions, predict_s read a median 3.44 ms with it
+    against 3.27 ms, over nine fresh 8 s runs each on a 2-vCPU host.
     """
     size = max(1, _BLOCK_ELEMENTS // len(ct))
     for lo in range(0, len(v), size):
@@ -237,22 +238,27 @@ def _continue(ct, w, a, b, x, eta, top):
     next start near its root, so they stop at a relative step of
     _LEVEL_TOL, and each solves only a subgrid of the points still
     descending: the first x of every bin floor(x / (_BIN_WIDTH h)) plus the
-    last one of the whole grid.  At those solved points the tangent is
-    du/dz = b/z^2 - (u + b/z)/G' (b = 0 for c >= 1), with the G' Newton
-    formed on its last step there, or 0 where that is not finite.  The
-    roots and tangents are interpolated linearly in x onto the other
-    descending points: m(x + i h) is smooth on the scale h, so those make
-    starts about as good as solved roots would.  Each next start is
-    u + du/dz i (h_new - h), or u where that is not finite or has
-    Im u <= 0.  Where the bins are narrower than the grid spacing every
-    point is its own bin, so the low levels and a graded or non-uniform
-    grid take the same path; there the interpolation's nodes are the
-    points themselves, and np.interp returns the solved values exactly.
-    A solved point whose start was already within _LEVEL_TOL of its root,
-    on Newton's scale max(1 - a, |u|), leaves the descent: after
-    anchoring its level's interpolation, it takes its tangent straight to
-    eta (h_new = eta).  The level at eta solves every point to _NEWTON_TOL
-    and returns what _newton returns there.
+    last one of the whole grid.  Only the landed roots anchor the level:
+    those where a full Newton step from the last iterate, -G/G' there,
+    would not cross the real axis.  A root whose steps were still being
+    cut to half its height stopped on their shrinking size, not near the
+    root, so it is interpolated like the unsolved points; where no root
+    landed, the level hands its starts down unchanged.  At the landed
+    points the tangent is du/dz = b/z^2 - (u + b/z)/G' (b = 0 for c >= 1),
+    with the G' Newton formed on its last step there, or 0 where that is
+    not finite.  The roots and tangents are interpolated linearly in x
+    onto the other descending points: m(x + i h) is smooth on the scale
+    h, so those make starts about as good as solved roots would.  Each
+    next start is u + du/dz i (h_new - h), or u where that is not finite
+    or has Im u <= 0.  Where the bins are narrower than the grid spacing
+    every point is its own bin, so the low levels and a graded or
+    non-uniform grid take the same path; there the interpolation's nodes
+    are the landed points themselves, and np.interp returns their roots
+    exactly.  A landed point whose start was already within _LEVEL_TOL
+    of its root, on Newton's scale max(1 - a, |u|), leaves the descent:
+    after anchoring its level's interpolation, it takes its tangent
+    straight to eta (h_new = eta).  The level at eta solves every point to
+    _NEWTON_TOL and returns what _newton returns there.
     """
     h = max(top, eta)
     u = -(1 - a) / (x + 1j * h)
@@ -271,16 +277,21 @@ def _continue(ct, w, a, b, x, eta, top):
         sub = np.flatnonzero(first)
         xs, start = xl[sub], u[live[sub]]
         zs = xs + 1j * h
-        roots, _, _, slope = _newton(ct, w, a, b, zs, start, _LEVEL_TOL)
-        leave = np.zeros(len(xl), dtype=bool)
-        leave[sub] = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1 - a, np.abs(roots))
-        # the next start: at the next level, or at eta for a point that leaves
-        dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
-        ul = np.interp(xl, xs, roots)
+        roots, at, g, slope = _newton(ct, w, a, b, zs, start, _LEVEL_TOL)
         with np.errstate(all="ignore"):
+            landed = at.imag > (g / slope).imag  # a full step from the last iterate stays up
+            leave = np.zeros(len(xl), dtype=bool)
+            near = np.abs(roots - start) <= _LEVEL_TOL * np.maximum(1 - a, np.abs(roots))
+            leave[sub] = landed & near
+            # the next start: at the next level, or at eta for a point that leaves
+            dz = 1j * (np.where(leave, eta, max(eta, _ETA_RATIO * h)) - h)
             shift = b / zs  # shift/zs, not b/zs^2: at tiny c it cancels (roots + shift)/G' exactly
             tangent = shift / zs - (roots + shift) / slope
             tangent[~np.isfinite(tangent)] = 0
+            xs, roots, tangent = xs[landed], roots[landed], tangent[landed]
+            if not len(xs):
+                continue  # no root anchors this level: its starts go down unchanged
+            ul = np.interp(xl, xs, roots)
             guess = ul + np.interp(xl, xs, tangent) * dz
         u[live] = np.where(np.isfinite(guess) & (guess.imag > 0), guess, ul)
         live = live[~leave]
@@ -441,12 +452,13 @@ def density_curve(p: FmcProblem, grid: np.ndarray, eta: float = 1e-6) -> Spectra
     for c > 1.  All grid points are solved together by predictor-corrector
     Newton continuation in Im z, from max(10, 2 x_max) down to eta by
     factors of 0.03.  Each level above eta solves one grid point per bin
-    of width 2 Im z and interpolates the rest; a solved point whose start
-    was already within 1e-4 of its root goes straight to eta.  The level
-    at eta solves every point.  Grid points and eta must be finite, and
-    the grid may reach x <= 0 at every c, as u has no pole at 0; a point
-    whose root fails the acceptance test raises SolverError.  The result
-    keeps the roots, from which its CDF is formed when first read.
+    of width 2 Im z and interpolates the rest from the roots Newton
+    landed; a landed point whose start was already within 1e-4 of its
+    root goes straight to eta.  The level at eta solves every point.
+    Grid points and eta must be finite, and the grid may reach x <= 0 at
+    every c, as u has no pole at 0; a point whose root fails the
+    acceptance test raises SolverError.  The result keeps the roots, from
+    which its CDF is formed when first read.
     """
     return SpectralDensity(p, grid, eta)
 

@@ -122,7 +122,7 @@ def test_compare_walks_the_pool_chunk_by_chunk_like_unique(density15):
     straddle[chunk - 5 : chunk + 7] = straddle[chunk - 5]  # a run across the first boundary
     pools = {
         "straddling run": straddle,
-        # zeros past the end of the second chunk, so that one chunk holds no distinct value
+        # zeros past the end of the second chunk: one comparison, then a walk from mid-chunk
         "long zero run": np.concatenate([np.zeros(2 * chunk + 100), spread[: chunk // 2]]),
         "ends on a boundary": spread[: 2 * chunk],
         # each value ten times: runs of ten, some across boundaries

@@ -71,7 +71,13 @@ def values(p, grid, eta):
     return density_curve(p, grid, eta).values
 
 
-@pytest.mark.parametrize("n,c,mode", MODEL_SWEEP)
+# at c = 0.05 and 0.07727 (L = 1020 and 660) one level's Newton stops on
+# steps cut short at the real axis, far from the root: that root must not
+# anchor the level, or the solve at eta fails from the start it hands down
+UNLANDED = [(51, 0.05, "reduced"), (51, 0.07727, "reduced")]
+
+
+@pytest.mark.parametrize("n,c,mode", MODEL_SWEEP + UNLANDED)
 def test_model_sweep_curves_match_the_oracle(oracle, n, c, mode):
     curve, expected = oracle(lambda: predict_edf(ArrayNoiseConfig(n), c, mode=mode).density.values)
     assert_close(curve, expected)
