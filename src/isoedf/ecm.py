@@ -119,6 +119,12 @@ def ensemble_spectrum(cfg: ArrayNoiseConfig) -> EnsembleSpectrum:
     solved and dropped before A - JB is formed, so no more than one
     half-block and LAPACK's copy of it are held at a time: at n = 1024
     that is two 512 x 512 arrays, not three.
+
+    The values' bits depend on the BLAS thread count through the
+    eigensolve, and so do the model curves read from them: with OpenBLAS
+    0.3.31 on a 2-vCPU host, one thread and two give different values at
+    n = 1024 in 840 of the 1024, by up to 7.8e-16 of the largest, and the
+    same values at n = 51 and 256.
     """
     row = _j0_row(cfg)
     n = cfg.n

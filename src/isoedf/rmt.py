@@ -61,7 +61,7 @@ _NEWTON_TOL = 1e-14
 _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
-_BLOCK_ELEMENTS = 2**16  # atoms x points in one block of _blocks; bounds the temporaries
+_BLOCK_ELEMENTS = 2**16  # atoms x points in one block of _blocks: see _blocks for the bound
 
 
 class SolverError(RuntimeError):
@@ -121,11 +121,11 @@ def polynomial_coefficients(p: FmcProblem, z: complex) -> np.ndarray:
     return coeffs
 
 
-def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
+def _newton(lhs, rows, a, b, z, u, tol=_NEWTON_TOL):
     """Newton on G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)), one root per z.
 
-    ct = c t and w are (atoms, 1) columns; z and u are 1-D; b/z is formed
-    once per call (it is 0 for c >= 1).  Each sweep takes G and G' from _g
+    lhs and rows come from _columns; z and u are 1-D; b/z is formed once
+    per call (it is 0 for c >= 1).  Each sweep takes G and G' from _g
     at the points still moving, picked by todo: on the first sweep a
     slice of every point, which copies the arrays whole where an index
     would gather and scatter them, and after it an index.  A step that
@@ -149,7 +149,7 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     index, todo = np.arange(len(u)), slice(None)
     for _ in range(_NEWTON_MAX_ITER):
         ui = u[todo]
-        g, dg = _g(ct, w, a, z[todo], ui, ui + shift[todo])
+        g, dg = _g(lhs, rows, a, z[todo], ui, ui + shift[todo])
         at[todo], g_at[todo], dg_at[todo] = ui, g, dg
         step = g / dg
         new = ui - step
@@ -165,42 +165,52 @@ def _newton(ct, w, a, b, z, u, tol=_NEWTON_TOL):
     return u, at, g_at, dg_at
 
 
-def _blocks(ct, v):
+def _blocks(lhs, v):
     """Yield (s, 1 + c t v[s]) over v in slices s of at most _BLOCK_ELEMENTS atoms x points.
 
-    Each block is a fresh atoms x points array that the caller may
-    overwrite.  It is dropped here before the next one is formed, so a
-    caller that drops it too, as _g and _cdf do, holds one block at a
-    time.  c t_i v_j is written as one real product of the column c t
-    with the interleaved (re, im) pairs of a contiguous v: that is the
-    complex product exactly while Im v > 0, and at most a zero's sign
-    away from it elsewhere.  The plain ct * v, which casts ct to complex,
-    gives the same bits but not the same time: on the mc_n51 benchmark's
-    reduced N = 51 predictions, predict_s read a median 3.44 ms with it
-    against 3.27 ms, over nine fresh 8 s runs each on a 2-vCPU host.
+    Each block is one real matrix product read as complex, lhs @ rhs over
+    the slice's columns: lhs is _columns' (atoms, 2) matrix [c t, 1], and
+    rhs, formed once per call rather than per block, holds the
+    interleaved (re, im) pairs of v over the pairs (1, 0).  Each entry is
+    a dot product of length 2, and OpenBLAS's gemm kernel rounds c t Re v
+    (or c t Im v) before it adds 1 (or 0).  Plain complex arithmetic
+    rounds the same way, so a block has its bits while Im v > 0 and is at
+    most a zero's sign away from it elsewhere; a kernel that fused the
+    product and the sum into one rounding would not match.
+
+    _BLOCK_ELEMENTS = 2^16 bounds the temporaries, and keeps each product
+    at m n k = 4 atoms points <= 2^18 multiply-adds, the size up to which
+    OpenBLAS runs a gemm on the calling thread: the kernel wakes no BLAS
+    worker, and leaves none spinning.  Each block is a fresh atoms x
+    points array that the caller may overwrite.  It is dropped here
+    before the next one is formed, so a caller that drops it too, as _g
+    and _cdf do, holds one block at a time.
     """
-    size = max(1, _BLOCK_ELEMENTS // len(ct))
+    rhs = np.empty((2, len(v)), dtype=complex)
+    rhs[0], rhs[1] = v, 1
+    rhs = rhs.view(float)
+    size = max(1, _BLOCK_ELEMENTS // len(lhs))
     for lo in range(0, len(v), size):
         s = slice(lo, lo + size)
-        t = np.multiply(ct, v[s].view(float)).view(complex)  # c t v
-        t += 1
+        t = (lhs @ rhs[:, 2 * lo : 2 * (lo + size)]).view(complex)  # 1 + c t v
         yield s, t
         del t
 
 
-def _g(ct, w, a, z, u, v):
+def _g(lhs, rows, a, z, u, v):
     """G(u) and G'(u) = z - sum_i c t_i w_i / (1 + c t_i v)^2 at v = u + b/z.
 
-    Each block of 1 + c t v from _blocks is inverted in place; its
-    weighted atom sum is one matrix product with the row of w, and after
-    squaring it in place, one with the row of c t w, formed once per call.
-    G = (z u - a) + sum and G' are assembled in place, in that order.
+    lhs and rows come from _columns.  Each block of 1 + c t v from _blocks
+    is inverted in place; its weighted atom sum is one matrix product
+    with the row w, and after squaring it in place, one with the row
+    c t w.  G = (z u - a) + sum and G' are assembled in place, in that
+    order.
     """
     g, dg = np.empty_like(v), np.empty_like(v)
-    ctw = (ct * w).T
-    for s, t in _blocks(ct, v):
+    w, ctw = rows[:1], rows[1:]
+    for s, t in _blocks(lhs, v):
         np.reciprocal(t, out=t)
-        g[s] = _row_times(w.T, t)
+        g[s] = _row_times(w, t)
         t *= t
         dg[s] = _row_times(ctw, t)
         del t  # freed before the next block is formed: one block at a time
@@ -230,7 +240,7 @@ def _accepted(a, z, u, g):
     return (u.imag > 0) & (residual <= _RESIDUAL_TOL), residual
 
 
-def _continue(ct, w, a, b, x, eta, top):
+def _continue(lhs, rows, a, b, x, eta, top):
     """Roots at x + i eta, reached by Newton at Im z = 0.03 top, 0.03^2 top, ..., eta.
 
     The first level starts from the far-field value u = -(1 - a)/z at
@@ -266,7 +276,7 @@ def _continue(ct, w, a, b, x, eta, top):
     while True:
         h = max(eta, _ETA_RATIO * h)
         if h == eta or not len(live):
-            return _newton(ct, w, a, b, x + 1j * eta, u)
+            return _newton(lhs, rows, a, b, x + 1j * eta, u)
         xl = x[live]
         first = np.ones(len(xl), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +287,7 @@ def _continue(ct, w, a, b, x, eta, top):
         sub = np.flatnonzero(first)
         xs, start = xl[sub], u[live[sub]]
         zs = xs + 1j * h
-        roots, at, g, slope = _newton(ct, w, a, b, zs, start, _LEVEL_TOL)
+        roots, at, g, slope = _newton(lhs, rows, a, b, zs, start, _LEVEL_TOL)
         with np.errstate(all="ignore"):
             landed = at.imag > (g / slope).imag  # a full step from the last iterate stays up
             leave = np.zeros(len(xl), dtype=bool)
@@ -298,9 +308,23 @@ def _continue(ct, w, a, b, x, eta, top):
 
 
 def _columns(p: FmcProblem):
-    """ct = c t and w as (atoms, 1) columns, a = p.zero_mass and b = 1 - 1/c - a."""
+    """The atom operands lhs and rows, a = p.zero_mass and b = 1 - 1/c - a.
+
+    lhs is the (atoms, 2) matrix [c t, 1] that _blocks multiplies into
+    1 + c t v, and rows the (2, atoms) matrix [w; c t w] whose rows weight
+    the atom sums of G and G'.  Both are formed once per problem, not
+    once per evaluation of G.  A single atom gets a second one of weight
+    0 at t = 0, whose terms in G, G' and F are exact zeros: numpy hands a
+    product with one row to gemv, whose kernel may round c t v + 1 once,
+    so every block is a gemm.
+    """
+    ct = p.c * p.measure.locations
+    w = p.measure.weights
+    if len(ct) == 1:
+        ct, w = np.append(ct, 0.0), np.append(w, 0.0)
+    lhs = np.stack([ct, np.ones_like(ct)], axis=1)
     a = p.zero_mass
-    return p.c * p.measure.locations[:, None], p.measure.weights[:, None], a, 1 - 1 / p.c - a
+    return lhs, np.stack([w, ct * w]), a, 1 - 1 / p.c - a
 
 
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
@@ -311,9 +335,9 @@ def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
     test on those, SolverError names the first such point's z, residual
     and Im u.
     """
-    ct, w, a, b = _columns(p)
+    lhs, rows, a, b = _columns(p)
     z = x + 1j * eta
-    _, u, g, _ = _continue(ct, w, a, b, x, eta, max(10.0, 2 * float(x[-1])))
+    _, u, g, _ = _continue(lhs, rows, a, b, x, eta, max(10.0, 2 * float(x[-1])))
     ok, residual = _accepted(a, z, u, g)
     if not ok.all():
         j = np.flatnonzero(~ok)[0]
@@ -350,10 +374,10 @@ def stieltjes_by_enumeration(p: FmcProblem, z: complex) -> complex:
     The grid solver never calls this; z must be finite with Im z > 0.
     """
     z = _upper_half_plane(z)
-    ct, w, a, b = _columns(p)
+    lhs, rows, a, b = _columns(p)
     roots = poly_roots(polynomial_coefficients(p, z))
     zs = np.full(len(roots), z)
-    _, u, g, _ = _newton(ct, w, a, b, zs, roots + a / z)
+    _, u, g, _ = _newton(lhs, rows, a, b, zs, roots + a / z)
     ok, residual = _accepted(a, zs, u, g)
     if not ok.any():
         j = np.argmin(np.where(np.isnan(residual), np.inf, residual))
@@ -385,12 +409,12 @@ def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
     includes it.  The args are taken block by block from _blocks, each
     block dropped before the next is formed, as in _g.
     """
-    ct, w, a, b = _columns(p)
+    lhs, rows, a, b = _columns(p)
     z = x + 1j * eta
     v = u + b / z
     args = np.empty(len(x))
-    for s, t in _blocks(ct, v):
-        args[s] = (w.T @ np.angle(t))[0]
+    for s, t in _blocks(lhs, v):
+        args[s] = (rows[:1] @ np.angle(t))[0]
         del t  # freed before the next block is formed: one block at a time
     zu = z * u
     bracket = zu.imag - args + np.angle(-zu - b) / p.c - np.angle(z)

@@ -603,10 +603,11 @@ class TestContinuationSchedule:
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
 
 
-def complex_g(ct, w, a, z, u, v):
+def complex_g(lhs, rows, a, z, u, v):
     """_g's sums in plain complex arithmetic, block for block as _g takes them."""
     import isoedf.rmt as rmt
 
+    ct, w = lhs[:, :1], rows[:1].T  # the columns c t and w of _columns' operands
     g, dg = np.empty_like(v), np.empty_like(v)
     size = max(1, rmt._BLOCK_ELEMENTS // len(ct))
     for lo in range(0, len(v), size):
@@ -619,10 +620,51 @@ def complex_g(ct, w, a, z, u, v):
     return z * u - a + g, z - dg
 
 
+@pytest.mark.parametrize(
+    "atoms, points, block",
+    [
+        (7, 3 * (2**16 // 7) + 5, None),  # the last block is a partial one
+        (256, 2 * 256, None),  # two blocks of exactly 2^16 atoms x points
+        (1, 2**16 + 3, None),  # one atom, with the zero-weight atom _columns adds
+        (256, 4096 + 17, 2**20),  # blocks large enough for OpenBLAS to thread
+    ],
+)
+def test_blocks_have_the_bits_of_plain_complex_arithmetic(monkeypatch, atoms, points, block):
+    # each entry of a block is a dot product of length 2 that rounds c t v
+    # and then adds 1 (or 0): a BLAS that fused the two into one rounding
+    # fails here, not only through _g
+    import isoedf.rmt as rmt
+
+    if block is not None:
+        monkeypatch.setattr(rmt, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(20161026)
+    locs = np.sort(rng.uniform(0.0, 20.0, atoms))
+    measure = measure_from(locs, rng.dirichlet(np.ones(atoms)))
+    lhs, _, _, _ = rmt._columns(FmcProblem(measure=measure, c=float(rng.uniform(0.1, 3.0))))
+    v = rng.normal(0.0, 3.0, points) + 1j * rng.exponential(1.0, points)
+    real = rng.random(points) < 0.1
+    v.imag[real] = 0.0
+    rows = len(lhs)
+    width = max(1, rmt._BLOCK_ELEMENTS // rows)
+    done = 0
+    for s, t in rmt._blocks(lhs, v):
+        assert s.start == done and t.shape == (rows, min(width, points - done))
+        expected = lhs[:, :1] * v[s]
+        expected += 1
+        up = ~real[s]
+        # bit for bit where Im v > 0; on the real axis only a zero's sign may differ
+        bits, expected_bits = (b.view(np.uint64).reshape(rows, -1, 2) for b in (t, expected))
+        assert np.array_equal(bits[:, up], expected_bits[:, up])
+        assert np.array_equal(t[:, ~up], expected[:, ~up])
+        done += t.shape[1]
+    assert done == points
+
+
 @pytest.mark.parametrize("c", [1e-300, 0.25, 1.0, 1.5, 1e16])
 def test_g_has_the_bits_of_plain_complex_arithmetic(c):
-    # _g forms c t v as one real product on the (re, im) pairs of v, which
-    # is the complex product exactly while Im v > 0, and G in place
+    # _g forms 1 + c t v as one real product of [c t, 1] with the (re, im)
+    # pairs of v over (1, 0), which is the complex 1 + c t v exactly while
+    # Im v > 0, and G in place
     import isoedf.rmt as rmt
 
     rng = np.random.default_rng(20161026)
