@@ -16,13 +16,15 @@ u = m for c <= 1.  With b = 1 - 1/c - a (0 for c >= 1) it reads
     G(u) = z u - a + sum_i w_i / (1 + c t_i (u + b/z)) = 0
 
 and has exactly one root with Im u > 0; no term of G grows like 1/c.
-One Newton continuation runs on the whole grid, summing G over at most
-2^16 atoms x points at a time, while Im z steps down from the far field
-to eta by a factor of 0.03 per level, each level starting from the root
-above moved along its tangent.  A level above eta only supplies the
-start of the next, so it is solved to a relative step of 1e-4 and only
-on a subgrid: one grid point per bin of width 2 Im z plus the last
-point.  Only a root that Newton landed, one whose full step from the
+G and G' are summed over the atoms as real moments of 1/|1 + c t v|^2,
+with no complex division, over at most 2^16 atoms x points at a time
+(_g); near an atom's pole their rounding error grows like 1/|1 + c t v|^2,
+not like the 1/|1 + c t v| of the terms.  One Newton continuation runs
+on the whole grid while Im z steps down from the far field to eta by a
+factor of 0.03 per level, each level starting from the root above moved
+along its tangent.  A level above eta only supplies the start of the
+next, so it is solved to a relative step of 1e-4 and only on a subgrid:
+one grid point per bin of width 2 Im z plus the last point.  Only a root that Newton landed, one whose full step from the
 last iterate stays above the real axis, anchors its level: the tangent
 du/dz is formed at those roots from Newton's own G' there, and the
 roots and tangents are interpolated linearly onto the rest.  A landed
@@ -62,6 +64,7 @@ _ETA_RATIO = 0.03  # Im z shrinks by this factor per continuation level
 _LEVEL_TOL = 1e-4  # relative Newton step that ends a level above eta
 _BIN_WIDTH = 2.0  # a level above eta solves one grid point per bin this many Im z wide
 _BLOCK_ELEMENTS = 2**16  # atoms x points in one block of _blocks: see _blocks for the bound
+_ONE_ZERO = np.array([[1.0], [0.0]])  # the second row of _blocks' rhs: 1 for P, 0 for Q
 
 
 class SolverError(RuntimeError):
@@ -165,67 +168,80 @@ def _newton(lhs, rows, a, b, z, u, tol=_NEWTON_TOL):
     return u, at, g_at, dg_at
 
 
-def _blocks(lhs, v):
-    """Yield (s, 1 + c t v[s]) over v in slices s of at most _BLOCK_ELEMENTS atoms x points.
+def _blocks(lhs, nu):
+    """Yield (s, PQ) over nu in slices s of at most _BLOCK_ELEMENTS atoms x points.
 
-    Each block is one real matrix product read as complex, lhs @ rhs over
-    the slice's columns: lhs is _columns' (atoms, 2) matrix [c t, 1], and
-    rhs, formed once per call rather than per block, holds the
-    interleaved (re, im) pairs of v over the pairs (1, 0).  Each entry is
-    a dot product of length 2, and OpenBLAS's gemm kernel rounds c t Re v
-    (or c t Im v) before it adds 1 (or 0).  Plain complex arithmetic
-    rounds the same way, so a block has its bits while Im v > 0 and is at
-    most a zero's sign away from it elsewhere; a kernel that fused the
-    product and the sum into one rounding would not match.
+    PQ is a fresh (2, atoms, points) array: PQ[0] = P = 1 + tau Re nu[s]
+    and PQ[1] = Q = tau Im nu[s], the real and imaginary parts of
+    1 + tau nu.  Both are real matrix products of inner dimension 2, taken
+    in one batched call: lhs is _columns' (atoms, 2) matrix [tau, 1], and
+    rhs, formed once per call rather than per block, stacks [Re nu; 1]
+    and [Im nu; 0].  No complex number is formed, so what the callers do
+    with a block is real arithmetic.
 
     _BLOCK_ELEMENTS = 2^16 bounds the temporaries, and keeps each product
-    at m n k = 4 atoms points <= 2^18 multiply-adds, the size up to which
-    OpenBLAS runs a gemm on the calling thread: the kernel wakes no BLAS
-    worker, and leaves none spinning.  Each block is a fresh atoms x
-    points array that the caller may overwrite.  It is dropped here
-    before the next one is formed, so a caller that drops it too, as _g
-    and _cdf do, holds one block at a time.
+    here and in _g at m n k <= 3 atoms points < 2^18 multiply-adds, the
+    size up to which OpenBLAS runs a gemm on the calling thread: the
+    kernel wakes no BLAS worker, and leaves none spinning.  The caller
+    may overwrite PQ.  It is dropped here before the next one is formed,
+    so a caller that drops it and its views too, as _g and _cdf do, holds
+    one block at a time.
     """
-    rhs = np.empty((2, len(v)), dtype=complex)
-    rhs[0], rhs[1] = v, 1
-    rhs = rhs.view(float)
+    rhs = np.empty((2, 2, len(nu)))
+    rhs[:, 0] = nu.view(float).reshape(-1, 2).T
+    rhs[:, 1] = _ONE_ZERO
     size = max(1, _BLOCK_ELEMENTS // len(lhs))
-    for lo in range(0, len(v), size):
+    for lo in range(0, len(nu), size):
         s = slice(lo, lo + size)
-        t = (lhs @ rhs[:, 2 * lo : 2 * (lo + size)]).view(complex)  # 1 + c t v
-        yield s, t
-        del t
+        pq = lhs @ rhs[:, :, s]
+        yield s, pq
+        del pq
 
 
 def _g(lhs, rows, a, z, u, v):
     """G(u) and G'(u) = z - sum_i c t_i w_i / (1 + c t_i v)^2 at v = u + b/z.
 
-    lhs and rows come from _columns.  Each block of 1 + c t v from _blocks
-    is inverted in place; its weighted atom sum is one matrix product
-    with the row w, and after squaring it in place, one with the row
-    c t w.  G = (z u - a) + sum and G' are assembled in place, in that
-    order.
+    lhs and rows come from _columns.  With nu = kappa v, each block of
+    _blocks holds d = 1 + c t v = 1 + tau nu as P + iQ, and 1/d =
+    (1 + tau conj(nu)) R with R = 1/(P^2 + Q^2), so the atom sums are real
+    moments of R, taken per point:
+
+        sum_i w_i / d_i          = A0 + conj(nu) A1
+        sum_i c t_i w_i / d_i^2  = C0 + conj(nu) (C1 + conj(nu) C2)
+
+    with [A1; A0] = [w tau; w] @ R and, once R is squared in place,
+    [C2; C1; C0] = kappa [w tau^3; 2 w tau^2; w tau] @ R^2.  No complex
+    number is divided.  _blocks is handed conj(nu), whose Q enters R only
+    squared.  G = (z u - a) + sum and G' = z - sum are assembled in place,
+    the second sum by Horner.  An atom near its pole cancels in its
+    moments, so the error bound grows like 1/|d|^2 where a complex
+    division's grows like 1/|d|: G is within a few eps (|z u| + a +
+    sum_i w_i (1 + |c t_i v|)/|d_i|^2) and G' within a few eps (|z| +
+    sum_i c t_i w_i (1 + |c t_i v|)^2/|d_i|^4) of exact (tests/test_rmt.py
+    checks 16 eps against mpmath).
     """
-    g, dg = np.empty_like(v), np.empty_like(v)
-    w, ctw = rows[:1], rows[1:]
-    for s, t in _blocks(lhs, v):
-        np.reciprocal(t, out=t)
-        g[s] = _row_times(w, t)
-        t *= t
-        dg[s] = _row_times(ctw, t)
-        del t  # freed before the next block is formed: one block at a time
+    kappa, g_rows, dg_rows = rows
+    nu = np.conjugate(v)
+    nu *= kappa
+    moments = np.empty((5, len(v)))  # rows A1, A0, C2, C1, C0
+    for s, pq in _blocks(lhs, nu):
+        pq *= pq
+        r = pq[0]
+        r += pq[1]
+        np.reciprocal(r, out=r)
+        np.matmul(g_rows, r, out=moments[:2, s])
+        r *= r
+        np.matmul(dg_rows, r, out=moments[2:, s])
+        del pq, r  # freed before the next block is formed: one block at a time
+    sums = nu * moments[0:3:2]
+    sums += moments[1:4:2]  # A0 + conj(nu) A1 and C1 + conj(nu) C2
+    g, dg = sums[0], sums[1]
+    dg *= nu
+    dg += moments[4]
     zu = z * u
     zu -= a
     zu += g
     return zu, np.subtract(z, dg, out=dg)
-
-
-def _row_times(row, t):
-    """row @ t for a real (1, atoms) row and a complex (atoms, points) array.
-
-    Done as one real product on the interleaved (re, im) view of t.
-    """
-    return (row @ t.view(float)).view(complex)[0]
 
 
 def _accepted(a, z, u, g):
@@ -310,21 +326,26 @@ def _continue(lhs, rows, a, b, x, eta, top):
 def _columns(p: FmcProblem):
     """The atom operands lhs and rows, a = p.zero_mass and b = 1 - 1/c - a.
 
-    lhs is the (atoms, 2) matrix [c t, 1] that _blocks multiplies into
-    1 + c t v, and rows the (2, atoms) matrix [w; c t w] whose rows weight
-    the atom sums of G and G'.  Both are formed once per problem, not
-    once per evaluation of G.  A single atom gets a second one of weight
-    0 at t = 0, whose terms in G, G' and F are exact zeros: numpy hands a
-    product with one row to gemv, whose kernel may round c t v + 1 once,
-    so every block is a gemm.
+    With t_max the largest location, tau = t/t_max in [0, 1] and kappa =
+    c t_max, c t v = tau nu for nu = kappa v.  lhs is the (atoms, 2)
+    matrix [tau, 1] that _blocks multiplies into 1 + tau nu, and rows is
+    (kappa, [w tau; w], kappa [w tau^3; 2 w tau^2; w tau]): the scale and
+    the two matrices whose products with R and R^2 are the moments of G
+    and G' in _g.  Each power of c t is split as a power of tau, at most 1,
+    times the same power of nu, so the rows carry kappa only once: (c t)^3
+    would underflow below c ~ 1e-103, and nu is of the size of c t v at
+    every c.  Every operand is formed once per problem, not once per
+    evaluation of G.  Where every atom sits at 0, t_max is taken as 1, so
+    that tau is 0 rather than 0/0.
     """
-    ct = p.c * p.measure.locations
-    w = p.measure.weights
-    if len(ct) == 1:
-        ct, w = np.append(ct, 0.0), np.append(w, 0.0)
-    lhs = np.stack([ct, np.ones_like(ct)], axis=1)
+    t, w = p.measure.locations, p.measure.weights
+    scale = float(t[-1]) or 1.0
+    tau = t / scale
+    kappa = p.c * scale
+    wt = w * tau
+    rows = (kappa, np.stack([wt, w]), kappa * np.stack([wt * tau * tau, 2 * wt * tau, wt]))
     a = p.zero_mass
-    return lhs, np.stack([w, ct * w]), a, 1 - 1 / p.c - a
+    return np.stack([tau, np.ones_like(tau)], axis=1), rows, a, 1 - 1 / p.c - a
 
 
 def _solve(p: FmcProblem, x: np.ndarray, eta: float) -> np.ndarray:
@@ -406,16 +427,18 @@ def _cdf(p: FmcProblem, x: np.ndarray, eta: float, u: np.ndarray) -> np.ndarray:
     written with no term of size 1/c.  The atan2 term takes back the zero
     atom's Lorentzian tail at height eta, and the last one keeps the atom
     out of F below 0, so a node at exactly 0 takes the right limit and
-    includes it.  The args are taken block by block from _blocks, each
-    block dropped before the next is formed, as in _g.
+    includes it.  The args are w @ atan2(Q, P) over the blocks P + iQ =
+    1 + c t v of _blocks, each dropped before the next is formed, as in _g.
     """
     lhs, rows, a, b = _columns(p)
     z = x + 1j * eta
-    v = u + b / z
+    kappa, g_rows, _ = rows
+    nu = u + b / z
+    nu *= kappa
     args = np.empty(len(x))
-    for s, t in _blocks(lhs, v):
-        args[s] = (rows[:1] @ np.angle(t))[0]
-        del t  # freed before the next block is formed: one block at a time
+    for s, pq in _blocks(lhs, nu):
+        args[s] = g_rows[1] @ np.arctan2(pq[1], pq[0], out=pq[0])
+        del pq  # freed before the next block is formed: one block at a time
     zu = z * u
     bracket = zu.imag - args + np.angle(-zu - b) / p.c - np.angle(z)
     return 1 + bracket / math.pi + a / math.pi * np.arctan2(eta, x) - a * (x < 0)

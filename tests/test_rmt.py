@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -603,21 +604,71 @@ class TestContinuationSchedule:
             assert d.values[j] == pytest.approx(expected, rel=1e-8)
 
 
-def complex_g(lhs, rows, a, z, u, v):
-    """_g's sums in plain complex arithmetic, block for block as _g takes them."""
+def mp_reference(p, b, z, u, v):
+    """G(u) and G'(u) at the given v, and F at the given u, from mpmath at 30 digits.
+
+    Every input is taken as the binary value it holds; F's v = u + b/z is
+    formed in mpmath, as the exact F at u is.
+    """
+    c, a, b = mpmath.mpf(p.c), mpmath.mpf(p.zero_mass), mpmath.mpf(b)
+    ct = [c * mpmath.mpf(t) for t in p.measure.locations]
+    w = p.measure.weights
+    g, dg, f = [], [], []
+    with mpmath.workdps(30):
+        for zj, uj, vj in zip(z, u, v):
+            zm, um, vm = mpmath.mpc(zj), mpmath.mpc(uj), mpmath.mpc(vj)
+            exact_v = um + b / zm
+            sum_g = sum_dg = args = 0
+            for cti, wi in zip(ct, w):
+                d = 1 + cti * vm
+                sum_g += wi / d
+                sum_dg += cti * wi / d**2
+                d = 1 + cti * exact_v
+                args += wi * mpmath.atan2(d.imag, d.real)
+            zu = zm * um
+            g.append(complex(zu - a + sum_g))
+            dg.append(complex(zm - sum_dg))
+            bracket = zu.imag - args + mpmath.arg(-zu - b) / c - mpmath.arg(zm)
+            tail = a / mpmath.pi * mpmath.atan2(zm.imag, zm.real) - a * (zj.real < 0)
+            f.append(float(1 + bracket / mpmath.pi + tail))
+    return np.array(g), np.array(dg), np.array(f)
+
+
+@pytest.mark.parametrize("c", [1e-300, 0.25, 1.0, 1.5, 1e16])
+def test_g_and_cdf_are_within_their_rounding_bounds_of_mpmath(c):
+    # _g sums G and G' as real moments of 1/|d|^2, d = 1 + c t v, and an
+    # atom near its pole cancels in them: the bounds grow like 1/|d|^2 and
+    # 1/|d|^4 where a complex division's would grow like 1/|d| and 1/|d|^2
     import isoedf.rmt as rmt
 
-    ct, w = lhs[:, :1], rows[:1].T  # the columns c t and w of _columns' operands
-    g, dg = np.empty_like(v), np.empty_like(v)
-    size = max(1, rmt._BLOCK_ELEMENTS // len(ct))
-    for lo in range(0, len(v), size):
-        t = ct * v[lo : lo + size]
-        t += 1
-        np.reciprocal(t, out=t)
-        g[lo : lo + size] = rmt._row_times(w.T, t)
-        t *= t
-        dg[lo : lo + size] = rmt._row_times((ct * w).T, t)
-    return z * u - a + g, z - dg
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20161026)
+    points = 32
+    measures = [
+        measure_from(np.sort(rng.uniform(0.05, 20.0, 300)), rng.dirichlet(np.ones(300))),
+        measure_from([0.0, 0.5, 1.0, 4.0], rng.dirichlet(np.ones(4))),
+        random_problem(rng, clustered=True).measure,
+    ]
+    for measure in measures:
+        p = FmcProblem(measure=measure, c=c)
+        lhs, rows, a, b = rmt._columns(p)
+        z = rng.uniform(-1.0, 50.0, points) + 1j * np.exp(rng.uniform(-20.0, 2.0, points))
+        u = rng.normal(0.0, 2.0, points) + 1j * rng.exponential(1.0, points)
+        v = u + b / z
+        assert np.all(v.imag > 0)
+        g, dg = rmt._g(lhs, rows, a, z, u, v)
+        f = rmt._cdf(p, z.real, z.imag, u)
+        expected_g, expected_dg, expected_f = mp_reference(p, b, z, u, v)
+        ct, w = c * measure.locations[:, None], measure.weights[:, None]
+        ctv = np.abs(ct * v)
+        d = np.abs(1 + ct * v)
+        zu = np.abs(z * u)
+        g_bound = zu + a + (w * (1 + ctv) / d**2).sum(axis=0)
+        dg_bound = np.abs(z) + (ct * w * (1 + ctv) ** 2 / d**4).sum(axis=0)
+        f_bound = 1 + zu + (w * (1 + ctv) / d).sum(axis=0)
+        assert np.all(np.abs(g - expected_g) <= 16 * eps * g_bound)
+        assert np.all(np.abs(dg - expected_dg) <= 16 * eps * dg_bound)
+        assert np.all(np.abs(f - expected_f) <= 16 * eps * f_bound)
 
 
 @pytest.mark.parametrize(
@@ -625,14 +676,13 @@ def complex_g(lhs, rows, a, z, u, v):
     [
         (7, 3 * (2**16 // 7) + 5, None),  # the last block is a partial one
         (256, 2 * 256, None),  # two blocks of exactly 2^16 atoms x points
-        (1, 2**16 + 3, None),  # one atom, with the zero-weight atom _columns adds
+        (1, 2**16 + 3, None),  # one atom: numpy hands the product to gemv
         (256, 4096 + 17, 2**20),  # blocks large enough for OpenBLAS to thread
     ],
 )
-def test_blocks_have_the_bits_of_plain_complex_arithmetic(monkeypatch, atoms, points, block):
-    # each entry of a block is a dot product of length 2 that rounds c t v
-    # and then adds 1 (or 0): a BLAS that fused the two into one rounding
-    # fails here, not only through _g
+def test_blocks_are_one_rounding_from_plain_real_arithmetic(monkeypatch, atoms, points, block):
+    # P = 1 + tau Re nu may be rounded once (fused, as gemv does) or twice;
+    # Q = tau Im nu + 0 has the bits of the product either way
     import isoedf.rmt as rmt
 
     if block is not None:
@@ -641,48 +691,64 @@ def test_blocks_have_the_bits_of_plain_complex_arithmetic(monkeypatch, atoms, po
     locs = np.sort(rng.uniform(0.0, 20.0, atoms))
     measure = measure_from(locs, rng.dirichlet(np.ones(atoms)))
     lhs, _, _, _ = rmt._columns(FmcProblem(measure=measure, c=float(rng.uniform(0.1, 3.0))))
-    v = rng.normal(0.0, 3.0, points) + 1j * rng.exponential(1.0, points)
-    real = rng.random(points) < 0.1
-    v.imag[real] = 0.0
-    rows = len(lhs)
-    width = max(1, rmt._BLOCK_ELEMENTS // rows)
+    tau = lhs[:, :1]
+    assert tau.max() == 1.0
+    nu = rng.normal(0.0, 3.0, points) + 1j * rng.exponential(1.0, points)
+    width = max(1, rmt._BLOCK_ELEMENTS // atoms)
     done = 0
-    for s, t in rmt._blocks(lhs, v):
-        assert s.start == done and t.shape == (rows, min(width, points - done))
-        expected = lhs[:, :1] * v[s]
-        expected += 1
-        up = ~real[s]
-        # bit for bit where Im v > 0; on the real axis only a zero's sign may differ
-        bits, expected_bits = (b.view(np.uint64).reshape(rows, -1, 2) for b in (t, expected))
-        assert np.array_equal(bits[:, up], expected_bits[:, up])
-        assert np.array_equal(t[:, ~up], expected[:, ~up])
-        done += t.shape[1]
+    for s, (p, q) in rmt._blocks(lhs, nu):
+        assert s.start == done and p.shape == q.shape == (atoms, min(width, points - done))
+        product = tau * nu.real[s]
+        expected = product + 1
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(p - expected) <= eps * (np.abs(product) + np.abs(expected)))
+        assert np.array_equal(q, tau * nu.imag[s])
+        done += p.shape[1]
     assert done == points
 
 
-@pytest.mark.parametrize("c", [1e-300, 0.25, 1.0, 1.5, 1e16])
-def test_g_has_the_bits_of_plain_complex_arithmetic(c):
-    # _g forms 1 + c t v as one real product of [c t, 1] with the (re, im)
-    # pairs of v over (1, 0), which is the complex 1 + c t v exactly while
-    # Im v > 0, and G in place
-    import isoedf.rmt as rmt
-
-    rng = np.random.default_rng(20161026)
-    points = rmt._BLOCK_ELEMENTS // 4 + 1  # above _BLOCK_ELEMENTS with 4 atoms or more
-    measures = [
-        measure_from(np.sort(rng.uniform(0.05, 20.0, 300)), rng.dirichlet(np.ones(300))),
-        measure_from([0.0, 0.5, 1.0, 4.0], rng.dirichlet(np.ones(4))),
-        random_problem(rng, clustered=True).measure,
-    ]
-    for measure in measures:
-        ct, w, a, b = rmt._columns(FmcProblem(measure=measure, c=c))
-        z = rng.uniform(-1.0, 50.0, points) + 1j * np.exp(rng.uniform(-20.0, 2.0, points))
-        u = rng.normal(0.0, 2.0, points) + 1j * rng.exponential(1.0, points)
-        v = u + b / z
-        assert np.all(v.imag > 0)
-        g, dg = rmt._g(ct, w, a, z, u, v)
-        expected_g, expected_dg = complex_g(ct, w, a, z, u, v)
-        assert np.array_equal(g, expected_g) and np.array_equal(dg, expected_dg)
+@pytest.mark.parametrize(
+    "atoms, c, values",
+    [
+        # every atom at 0: t_max is taken as 1, and the density is the
+        # Lorentzian (1 - a) eta / (pi |z|^2) of the mass at 0
+        (
+            ((0.0, 1.0),),
+            0.5,
+            [3.1830988618347232e-07, 3.1830988618379069e05, 1.2732395447300698e-06,
+             3.1830988618347232e-07, 7.9577471545927769e-08, 3.5367765131528365e-08,
+             1.2732395447351118e-08, 4.9735919716216527e-09],
+        ),
+        (
+            ((0.0, 1.0),),
+            2.0,
+            [1.5915494309173616e-07, 1.5915494309189534e05, 6.3661977236503490e-07,
+             1.5915494309173616e-07, 3.9788735772963891e-08, 1.7683882565764183e-08,
+             6.3661977236755568e-09, 2.4867959858108264e-09],
+        ),
+        (
+            ((0.0, 0.5), (2.0, 0.5)),
+            0.5,
+            [1.8362306301228425e-07, 1.5915494309198964e05, 4.4984080475782637e-04,
+             2.1054212009653200e-01, 1.5410109112100073e-01, 1.0273406516830734e-01,
+             4.0319252291441934e-08, 7.3719705701560749e-09],
+        ),
+        (
+            ((0.0, 0.5), (2.0, 0.5)),
+            2.0,
+            [5.3051647721665170e-08, 7.9577466572361217e01, 1.5410111101513388e-01,
+             1.0527109983690505e-01, 6.8916111927716350e-02, 5.1367037005122247e-02,
+             3.0820222203074444e-02, 9.9471833178479958e-06],
+        ),
+    ],
+    ids=["one-atom-c0.5", "one-atom-c2", "two-atoms-c0.5", "two-atoms-c2"],
+)
+def test_measures_with_an_atom_at_zero(atoms, c, values):
+    # the values were computed when a one-atom measure was padded with a
+    # second atom of weight 0, and match to rounding without it
+    p = FmcProblem(measure=AtomicMeasure(atoms=atoms, kind="full"), c=c)
+    d = density_curve(p, np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0]))
+    np.testing.assert_allclose(d.values, values, rtol=1e-12, atol=1e-14)
 
 
 class TestMemoryBound:
@@ -690,21 +756,22 @@ class TestMemoryBound:
 
     @staticmethod
     def full_256(monkeypatch, block):
-        """The full N = 256, c = 1 curve at the given bound, and the widest array summed."""
+        """The full N = 256, c = 1 curve at the given bound, and the widest block formed."""
         import isoedf.rmt as rmt
         from isoedf import ArrayNoiseConfig
 
         widest = []
-        real_row_times = rmt._row_times
+        real_blocks = rmt._blocks
 
-        def watched(row, t):
-            widest.append(t.shape)
-            return real_row_times(row, t)
+        def watched(lhs, nu):
+            for s, pq in real_blocks(lhs, nu):
+                widest.append(pq.shape[1:])
+                yield s, pq
 
         with monkeypatch.context() as m:
             if block is not None:
                 m.setattr(rmt, "_BLOCK_ELEMENTS", block)
-            m.setattr(rmt, "_row_times", watched)
+            m.setattr(rmt, "_blocks", watched)
             d = predict_edf(ArrayNoiseConfig(256), 1.0, mode="full").density
         return d.values, max(widest, key=lambda shape: shape[0] * shape[1])
 

@@ -272,6 +272,31 @@ def test_a_converged_start_takes_no_lower_level(monkeypatch, n, c, mode):
     assert len(solved_at_eta) == 1500 and left <= set(solved_at_eta)
 
 
+def test_a_level_where_no_root_landed_hands_its_starts_down_unchanged(monkeypatch):
+    # the first level's roots are made to look unlanded, a full step from
+    # each last iterate crossing the real axis: the next level starts every
+    # point from the far-field start, and the level at eta still lands
+    p = unit_atom(0.5)
+    grid = default_grid(p, 64)
+    expected = density_curve(p, grid).values
+    real_newton = rmt._newton
+    starts = []
+
+    def unlanded_first_level(ct, w, a, b, z, u, tol=rmt._NEWTON_TOL):
+        roots, at, g, slope = real_newton(ct, w, a, b, z, u, tol)
+        starts.append((z, np.array(u, dtype=complex)))
+        if len(starts) == 1:
+            g = 2j * at.imag * slope  # g / slope = 2i Im at
+        return roots, at, g, slope
+
+    monkeypatch.setattr(rmt, "_newton", unlanded_first_level)
+    d = density_curve(p, grid)
+    top = max(10.0, 2 * grid[-1])
+    z, u = starts[1]
+    np.testing.assert_array_equal(u, -1 / (z.real + 1j * top))
+    np.testing.assert_allclose(d.values, expected, rtol=0, atol=TOL * max(1.0, expected.max()))
+
+
 def test_bins_narrower_than_the_spacing_keep_every_point(monkeypatch):
     # an 8-point grid on [0.1, 10]: its spacing 1.41 exceeds the widest
     # bin, 2 x 0.6 at the first level (top 20), so no level interpolates a
