@@ -610,11 +610,11 @@ def mp_reference(p, b, z, u, v):
     Every input is taken as the binary value it holds; F's v = u + b/z is
     formed in mpmath, as the exact F at u is.
     """
-    c, a, b = mpmath.mpf(p.c), mpmath.mpf(p.zero_mass), mpmath.mpf(b)
-    ct = [c * mpmath.mpf(t) for t in p.measure.locations]
     w = p.measure.weights
     g, dg, f = [], [], []
     with mpmath.workdps(30):
+        c, a, b = mpmath.mpf(p.c), mpmath.mpf(p.zero_mass), mpmath.mpf(b)
+        ct = [c * mpmath.mpf(t) for t in p.measure.locations]
         for zj, uj, vj in zip(z, u, v):
             zm, um, vm = mpmath.mpc(zj), mpmath.mpc(uj), mpmath.mpc(vj)
             exact_v = um + b / zm
@@ -695,12 +695,12 @@ def test_blocks_are_one_rounding_from_plain_real_arithmetic(monkeypatch, atoms, 
     assert tau.max() == 1.0
     nu = rng.normal(0.0, 3.0, points) + 1j * rng.exponential(1.0, points)
     width = max(1, rmt._BLOCK_ELEMENTS // atoms)
+    eps = np.finfo(float).eps
     done = 0
     for s, (p, q) in rmt._blocks(lhs, nu):
         assert s.start == done and p.shape == q.shape == (atoms, min(width, points - done))
         product = tau * nu.real[s]
         expected = product + 1
-        eps = np.finfo(float).eps
         assert np.all(np.abs(p - expected) <= eps * (np.abs(product) + np.abs(expected)))
         assert np.array_equal(q, tau * nu.imag[s])
         done += p.shape[1]
